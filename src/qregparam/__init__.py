@@ -26,12 +26,9 @@ from .statevector import (
 )
 from .amplitude import (
     AmplitudeEstimate,
-    FixedPointFormat,
     StatePrep,
-    coherent_estimate,
     estimate_theta,
     grover_operator,
-    parallel_estimate,
 )
 from .hhl import (
     HhlConfig,

@@ -1,4 +1,4 @@
-"""Amplitude estimation: Grover operator, angle readout, coherent function registers.
+"""Amplitude estimation: Grover operator and folded angle readout.
 
 A state preparation splits |0...0> into cos(theta) |good> + sin(theta) |bad>,
 where "good" means every flag qubit reads 0.  The Grover operator rotates the
@@ -9,68 +9,28 @@ complement so both +-theta branches decode to the same cos(theta).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .statevector import (
     StateVector,
     UnitaryOp,
-    _check_capacity,
     measure,
     phase_estimation,
-    qpe_forward,
-    qpe_inverse,
     register_distribution,
     twos_complement,
 )
 
 
-@dataclass(frozen=True)
-class FixedPointFormat:
-    """Signed two's-complement fixed point; default covers [-2, 2) with 16 fraction bits."""
-
-    fraction_bits: int = 16
-    integer_bits: int = 2  # includes the sign bit
-
-    @property
-    def total_bits(self) -> int:
-        return self.fraction_bits + self.integer_bits
-
-    @property
-    def max_value(self) -> float:
-        return (2 ** (self.total_bits - 1) - 1) / 2**self.fraction_bits
-
-    @property
-    def min_value(self) -> float:
-        return -(2 ** (self.total_bits - 1)) / 2**self.fraction_bits
-
-    def encode(self, value: float) -> tuple[int, bool]:
-        """Return (code, saturated); out-of-range values clamp to the end of scale."""
-        raw = round(value * 2**self.fraction_bits)
-        lo = -(2 ** (self.total_bits - 1))
-        hi = 2 ** (self.total_bits - 1) - 1
-        saturated = raw < lo or raw > hi
-        raw = min(max(raw, lo), hi)
-        return raw % 2**self.total_bits, saturated
-
-    def decode(self, code: int) -> float:
-        return twos_complement(code, self.total_bits) / 2**self.fraction_bits
-
-
-DEFAULT_FORMAT = FixedPointFormat()
-
-
 @dataclass
 class StatePrep:
-    """A preparation unitary (or just its output state) plus the flag qubits."""
+    """A prepared state plus the flag qubits that mark its good branch."""
 
     num_qubits: int
     flag_qubits: tuple[int, ...]
     state: np.ndarray
-    unitary: np.ndarray | None = None
 
     def __post_init__(self):
         self.flag_qubits = tuple(self.flag_qubits)
@@ -83,26 +43,12 @@ class StatePrep:
             not 0 <= f < self.num_qubits for f in self.flag_qubits
         ):
             raise ValueError(f"invalid flag qubits {self.flag_qubits}")
-        if self.unitary is not None:
-            U = np.asarray(self.unitary, dtype=complex)
-            err = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-            if err > 1e-10:
-                raise ValueError(f"preparation is not unitary (deviation {err:.3e})")
-            self.unitary = U
 
     @classmethod
-    def from_unitary(cls, unitary: np.ndarray, flag_qubits: Sequence[int]) -> "StatePrep":
-        unitary = np.asarray(unitary, dtype=complex)
-        k = unitary.shape[0].bit_length() - 1
-        return cls(k, tuple(flag_qubits), unitary[:, 0], unitary)
-
-    @classmethod
-    def from_state(cls, state: np.ndarray, flag_qubits: Sequence[int],
-                   build_unitary: bool = False) -> "StatePrep":
+    def from_state(cls, state: np.ndarray, flag_qubits: Sequence[int]) -> "StatePrep":
         state = np.asarray(state, dtype=complex).ravel()
         k = state.size.bit_length() - 1
-        unitary = _completion_unitary(state) if build_unitary else None
-        return cls(k, tuple(flag_qubits), state, unitary)
+        return cls(k, tuple(flag_qubits), state)
 
     def good_mask(self) -> np.ndarray:
         """Boolean mask over basis states where every flag qubit is 0."""
@@ -120,18 +66,6 @@ class StatePrep:
         good = np.linalg.norm(self.state[mask])
         bad = np.linalg.norm(self.state[~mask])
         return math.atan2(bad, good)
-
-
-def _completion_unitary(state: np.ndarray) -> np.ndarray:
-    """A unitary whose first column is exactly the given unit vector."""
-    d = state.size
-    M = np.eye(d, dtype=complex)
-    M[:, 0] = state
-    Q, _ = np.linalg.qr(M)
-    # QR fixes column 0 only up to phase; rotate it back
-    phase = np.vdot(Q[:, 0], state)
-    Q[:, 0] *= phase / abs(phase)
-    return Q
 
 
 @dataclass
@@ -216,80 +150,3 @@ def ae_bits_for_accuracy(epsilon: float) -> int:
 def ae_query_count(n_bits: int, repeats: int = 1) -> int:
     """Controlled-G applications in one QPE pass: 2^n - 1 per repetition."""
     return (2**n_bits - 1) * repeats
-
-
-def coherent_estimate(prep: StatePrep, f: Callable[[float], float], n_bits: int,
-                      fmt: FixedPointFormat = DEFAULT_FORMAT) -> StateVector:
-    """QPE, evaluate f(cos theta~) into a fixed-point register, undo the QPE.
-
-    Returns the [phase, system, function] state; for a dyadic angle the result
-    is the exact product state |phi>|f(cos theta)>.
-    """
-    k = prep.num_qubits
-    w = fmt.total_bits
-    _check_capacity(n_bits + k + w)
-    G = grover_operator(prep)
-    amps = np.zeros(2 ** (n_bits + k + w), dtype=complex)
-    amps[np.arange(2**k) * 2**w] = prep.state
-    state = StateVector(n_bits + k + w, amps)
-    phase_targets = list(range(n_bits))
-    system_targets = list(range(n_bits, n_bits + k))
-    state = qpe_forward(state, G, phase_targets, system_targets)
-    state = _apply_function_register(state, f, n_bits, k, fmt)
-    return qpe_inverse(state, G, phase_targets, system_targets)
-
-
-def _apply_function_register(state: StateVector, f: Callable[[float], float],
-                             n_bits: int, k: int, fmt: FixedPointFormat) -> StateVector:
-    """XOR f(cos(pi * y_signed / 2^n)) into the trailing function register."""
-    w = fmt.total_bits
-    psi = state.amplitudes.reshape(2**n_bits, 2**k, 2**w)
-    out = np.empty_like(psi)
-    z = np.arange(2**w)
-    saturated_at = []
-    for y in range(2**n_bits):
-        val = f(math.cos(math.pi * twos_complement(y, n_bits) / 2**n_bits))
-        code, saturated = fmt.encode(val)
-        if saturated:
-            saturated_at.append((y, val))
-        out[y] = psi[y][:, z ^ code]
-    if saturated_at:
-        warnings.warn(
-            f"function values outside [{fmt.min_value}, {fmt.max_value}] were "
-            f"saturated at {len(saturated_at)} register value(s)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return StateVector(state.num_qubits, out.reshape(-1))
-
-
-def parallel_estimate(preps: Sequence[StatePrep], fs: Sequence[Callable[[float], float]],
-                      weights: np.ndarray, n_bits: int,
-                      fmt: FixedPointFormat = DEFAULT_FORMAT) -> StateVector:
-    """Index-controlled coherent_estimate: branch j carries f_j(cos theta~_j).
-
-    Register order is [index, phase, system, function]; weights become the
-    index-register amplitudes.
-    """
-    p = len(preps)
-    if p == 0 or len(fs) != p:
-        raise ValueError("need one function per state preparation")
-    weights = np.asarray(weights, dtype=complex).ravel()
-    if weights.size != p:
-        raise ValueError("need one weight per branch")
-    if abs(np.linalg.norm(weights) - 1.0) > 1e-8:
-        raise ValueError("weights must have unit norm")
-    widths = {prep.num_qubits for prep in preps}
-    if len(widths) != 1:
-        raise ValueError(f"state preparations differ in width: {sorted(widths)}")
-    if p == 1:
-        return coherent_estimate(preps[0], fs[0], n_bits, fmt)
-    idx_bits = math.ceil(math.log2(p))
-    k = preps[0].num_qubits
-    branch_size = 2 ** (n_bits + k + fmt.total_bits)
-    _check_capacity(idx_bits + n_bits + k + fmt.total_bits)
-    amps = np.zeros(2**idx_bits * branch_size, dtype=complex)
-    for j, (prep, f, wj) in enumerate(zip(preps, fs, weights)):
-        branch = coherent_estimate(prep, f, n_bits, fmt)
-        amps[j * branch_size:(j + 1) * branch_size] = wj * branch.amplitudes
-    return StateVector(idx_bits + n_bits + k + fmt.total_bits, amps)

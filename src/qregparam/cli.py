@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .hhl import HhlConfig
 from .linalg import RegularizedProblem, compute_svd, gcv_value, tikhonov_solve, \
     tsvd_solve
 from .mmio import load_matrix, load_vector
@@ -93,10 +92,6 @@ def _load_problem(config: RunConfig) -> RegularizedProblem:
                             config.seed)
 
 
-def _json_float(x: float) -> float:
-    return float(x)
-
-
 def run(config: RunConfig) -> RunReport:
     """Dispatch to the requested pipeline and assemble the report."""
     config.validate()
@@ -105,8 +100,6 @@ def run(config: RunConfig) -> RunReport:
     svd = compute_svd(problem.A)
     grid = ParameterGrid.geometric(config.mu0, config.rho, config.p)
     rng = np.random.default_rng(config.seed)
-    cfg = HhlConfig(n_phase_bits=config.n_phase_bits, c_tilde=1.0, sigma_max=1.0,
-                    t_evolution=1.0)  # template; per-mu constants derived in-pipeline
 
     rows: list[dict] = []
     oracle = {float(mu): tikhonov_solve(svd, problem.b, float(mu)) for mu in grid.mus}
@@ -114,63 +107,59 @@ def run(config: RunConfig) -> RunReport:
     def oracle_row(mu: float, with_gcv: bool) -> dict:
         sol = oracle[mu]
         row = {
-            "mu": _json_float(mu),
-            "solution_norm_oracle": _json_float(sol.solution_norm),
-            "residual_norm_oracle": _json_float(sol.residual_norm),
+            "mu": float(mu),
+            "solution_norm_oracle": float(sol.solution_norm),
+            "residual_norm_oracle": float(sol.residual_norm),
         }
         if with_gcv:
-            row["gcv_oracle"] = _json_float(gcv_value(svd, problem.b, mu))
+            row["gcv_oracle"] = float(gcv_value(svd, problem.b, mu))
         return row
 
     if config.method == "tikhonov":
         sol = tikhonov_solve(svd, problem.b, config.mu0)
         rows.append({"mu": config.mu0,
-                     "solution_norm_oracle": _json_float(sol.solution_norm),
-                     "residual_norm_oracle": _json_float(sol.residual_norm)})
+                     "solution_norm_oracle": float(sol.solution_norm),
+                     "residual_norm_oracle": float(sol.residual_norm)})
         selection = {"chosen_mu": config.mu0,
-                     "solution_norm": _json_float(sol.solution_norm),
-                     "residual_norm": _json_float(sol.residual_norm)}
+                     "solution_norm": float(sol.solution_norm),
+                     "residual_norm": float(sol.residual_norm)}
         queries = 1
     elif config.method == "tsvd":
         sol = tsvd_solve(svd, problem.b, config.rank)
         rows.append({"k": config.rank,
-                     "solution_norm_oracle": _json_float(sol.solution_norm),
-                     "residual_norm_oracle": _json_float(sol.residual_norm)})
+                     "solution_norm_oracle": float(sol.solution_norm),
+                     "residual_norm_oracle": float(sol.residual_norm)})
         selection = {"chosen_k": config.rank,
-                     "solution_norm": _json_float(sol.solution_norm),
-                     "residual_norm": _json_float(sol.residual_norm)}
+                     "solution_norm": float(sol.solution_norm),
+                     "residual_norm": float(sol.residual_norm)}
         queries = 1
     elif config.method in ("classical-lcurve", "classical-gcv"):
         criterion = "lcurve-sum" if config.method == "classical-lcurve" else "gcv"
         result = classical_select(problem, grid, criterion)
         for j, mu in enumerate(grid.mus):
             row = oracle_row(float(mu), with_gcv=(criterion == "gcv"))
-            row["criterion"] = _json_float(result.criterion_values[j])
+            row["criterion"] = float(result.criterion_values[j])
             rows.append(row)
-        selection = {"chosen_index": result.chosen_index,
-                     "chosen_mu": _json_float(result.chosen_mu)}
-        queries = result.queries_used
     elif config.method == "lcurve":
-        result = lcurve_pipeline(problem, grid, cfg, config.epsilon, rng,
-                                 repeats=config.repeats)
+        result = lcurve_pipeline(problem, grid, config.n_phase_bits, config.epsilon,
+                                 rng, repeats=config.repeats)
         for j, (mu, pt) in enumerate(zip(grid.mus, result.points)):
             row = oracle_row(float(mu), with_gcv=False)
-            row["solution_norm_est"] = _json_float(pt.solution_norm)
-            row["residual_norm_est"] = _json_float(pt.residual_norm)
-            row["criterion"] = _json_float(result.criterion_values[j])
+            row["solution_norm_est"] = float(pt.solution_norm)
+            row["residual_norm_est"] = float(pt.residual_norm)
+            row["criterion"] = float(result.criterion_values[j])
             rows.append(row)
-        selection = {"chosen_index": result.chosen_index,
-                     "chosen_mu": _json_float(result.chosen_mu)}
-        queries = result.queries_used
     else:  # gcv
-        result = gcv_pipeline(problem, grid, config.rank, cfg, config.epsilon, rng,
-                              repeats=config.repeats)
+        result = gcv_pipeline(problem, grid, config.rank, config.n_phase_bits,
+                              config.epsilon, rng, repeats=config.repeats)
         for j, mu in enumerate(grid.mus):
             row = oracle_row(float(mu), with_gcv=True)
-            row["gcv_est"] = _json_float(result.criterion_values[j])
+            row["gcv_est"] = float(result.criterion_values[j])
             rows.append(row)
+
+    if config.method not in ("tikhonov", "tsvd"):
         selection = {"chosen_index": result.chosen_index,
-                     "chosen_mu": _json_float(result.chosen_mu)}
+                     "chosen_mu": float(result.chosen_mu)}
         queries = result.queries_used
 
     report = RunReport(

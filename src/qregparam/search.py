@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,9 +24,10 @@ from .hhl import (
     _evolution_operator,
     _padded,
     _residual_norm_with_queries,
-    _solution_norm_with_queries,
+    estimate_norms,
 )
 from .linalg import (
+    ExtendedMatrix,
     RegularizedProblem,
     build_extended,
     compute_svd,
@@ -128,24 +130,22 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator,
     return SelectionResult(y, mu_of(y), values, queries, history)
 
 
-def _branch_norms(problem: RegularizedProblem, mu: float, cfg: HhlConfig,
-                  epsilon: float, rng: np.random.Generator,
-                  repeats: int) -> tuple[float, float, int]:
-    """Quantum-estimated (||x_mu||, ||A x_mu - b||, queries) for one grid value."""
+def _at_mu(problem: RegularizedProblem, mu: float, n_phase_bits: int,
+           step: Callable[[ExtendedMatrix, HhlConfig], Any]) -> Any:
+    """Run step(ext, cfg) on (A; mu I) with its derived HhlConfig.
+
+    A ValueError or RuntimeError keeps its type and gains "(at mu = ...)";
+    any other exception reaches the caller unchanged.
+    """
     ext = build_extended(problem.A, mu)
-    cfg_mu = HhlConfig.for_extended(ext, n_phase_bits=cfg.n_phase_bits,
-                                    snap_spectrum=cfg.snap_spectrum)
+    cfg = HhlConfig.for_extended(ext, n_phase_bits=n_phase_bits)
     try:
-        sol, _, q1 = _solution_norm_with_queries(ext, problem.b, cfg_mu, epsilon,
-                                                 rng, repeats)
-        res, _, q2 = _residual_norm_with_queries(ext, problem.b, cfg_mu, epsilon,
-                                                 rng, repeats)
-    except Exception as exc:
+        return step(ext, cfg)
+    except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{exc} (at mu = {mu:g})") from exc
-    return sol, res, q1 + q2
 
 
-def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, cfg: HhlConfig,
+def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bits: int,
                     epsilon: float, rng: np.random.Generator, repeats: int = 5,
                     translation: tuple[float, float] = (0.0, 0.0)) -> SelectionResult:
     """Parallel norm estimation followed by minimum finding on ||x||^2 + ||r||^2.
@@ -158,10 +158,12 @@ def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, cfg: HhlCo
     queries = 0
     dx, dr = translation
     for j, mu in enumerate(grid.mus):
-        sol, res, q = _branch_norms(problem, float(mu), cfg, epsilon, rng, repeats)
+        est = _at_mu(problem, float(mu), n_phase_bits, lambda ext, cfg: estimate_norms(
+            ext, problem.b, cfg, epsilon, rng, repeats))
+        sol, res = est.solution_norm, est.residual_norm
         points.append(LCurvePoint(mu=float(mu), residual_norm=res, solution_norm=sol))
         criterion[j] = (sol - dx) ** 2 + (res - dr) ** 2
-        queries += q
+        queries += est.queries_used
     result = durr_hoyer_min(criterion, rng, mus=grid.mus)
     result.queries_used += queries
     result.points = points
@@ -223,29 +225,26 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
 
 
 def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
-                 cfg: HhlConfig, epsilon: float, rng: np.random.Generator,
+                 n_phase_bits: int, epsilon: float, rng: np.random.Generator,
                  repeats: int = 5, shots: int | None = None) -> SelectionResult:
     """Singular-value extraction, parallel residual estimation, min of G(mu_j)."""
-    m, n = problem.m, problem.n
-    ext0 = build_extended(problem.A, float(grid.mus[0]))
-    if shots is None:
-        w = np.abs(np.linalg.eigvalsh(_padded(ext0.dilation)[0]))
-        nz = np.sort(w[w > 1e-12 * w.max()])
-        ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
-        shots = max(10 * r, math.ceil(10 * r * ratio))
-    sigma_est = principal_singular_values(ext0, r, cfg.n_phase_bits, shots, rng)
+    def sample(ext: ExtendedMatrix, _cfg: HhlConfig) -> tuple[int, np.ndarray]:
+        k = shots
+        if k is None:
+            w = np.abs(np.linalg.eigvalsh(_padded(ext.dilation)[0]))
+            nz = np.sort(w[w > 1e-12 * w.max()])
+            ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
+            k = max(10 * r, math.ceil(10 * r * ratio))
+        return k, principal_singular_values(ext, r, n_phase_bits, k, rng)
+
+    shots, sigma_est = _at_mu(problem, float(grid.mus[0]), n_phase_bits, sample)
     criterion = np.empty(grid.p)
     queries = shots
     for j, mu in enumerate(grid.mus):
-        ext = build_extended(problem.A, float(mu))
-        cfg_mu = HhlConfig.for_extended(ext, n_phase_bits=cfg.n_phase_bits,
-                                        snap_spectrum=cfg.snap_spectrum)
-        try:
-            res, _, q = _residual_norm_with_queries(ext, problem.b, cfg_mu, epsilon,
-                                                    rng, repeats)
-        except Exception as exc:
-            raise type(exc)(f"{exc} (at mu = {mu:g})") from exc
-        criterion[j] = gcv_lowrank(sigma_est, res**2, m, n, float(mu))
+        res, _, q = _at_mu(problem, float(mu), n_phase_bits,
+                           lambda ext, cfg: _residual_norm_with_queries(
+                               ext, problem.b, cfg, epsilon, rng, repeats))
+        criterion[j] = gcv_lowrank(sigma_est, res**2, problem.m, problem.n, float(mu))
         queries += q
     result = durr_hoyer_min(criterion, rng, mus=grid.mus)
     result.queries_used += queries

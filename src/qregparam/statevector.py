@@ -100,14 +100,6 @@ class UnitaryOp:
     def num_qubits(self) -> int:
         return self.dimension.bit_length() - 1
 
-    def dagger(self) -> "UnitaryOp":
-        return UnitaryOp(self.matrix.conj().T)
-
-    def power(self, k: int) -> "UnitaryOp":
-        if k < 0:
-            raise ValueError("power must be nonnegative")
-        return UnitaryOp(np.linalg.matrix_power(self.matrix, k))
-
 
 # common single-qubit gates
 X = UnitaryOp(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -271,13 +263,6 @@ def measure(state: StateVector, qubits: list[int],
     collapsed = collapsed.reshape(-1)
     collapsed /= np.linalg.norm(collapsed)
     return bits, StateVector(q, collapsed)
-
-
-def bits_to_int(bits: tuple[int, ...]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
 
 
 def register_distribution(state: StateVector, qubits: list[int]) -> np.ndarray:

@@ -189,11 +189,11 @@ def test_08_pipeline_oracle_agreement():
         for criterion, quantum in (
             ("lcurve-sum",
              lambda eps: lcurve_pipeline(
-                 prob, grid, HhlConfig(7, 1.0, 1.0, 1.0), eps,
+                 prob, grid, 7, eps,
                  np.random.default_rng(s), repeats=3)),
             ("gcv",
              lambda eps: gcv_pipeline(
-                 prob, grid, 2, HhlConfig(9, 1.0, 1.0, 1.0), eps,
+                 prob, grid, 2, 9, eps,
                  np.random.default_rng(s), repeats=1)),
         ):
             cl = classical_select(prob, grid, criterion)

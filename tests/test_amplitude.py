@@ -1,4 +1,4 @@
-"""Amplitude estimation: Grover operator, angle readout, coherent registers."""
+"""Amplitude estimation: Grover operator and angle readout."""
 import math
 
 import numpy as np
@@ -6,22 +6,15 @@ import pytest
 
 from qregparam.amplitude import (
     AmplitudeEstimate,
-    FixedPointFormat,
     StatePrep,
     ae_bits_for_accuracy,
     ae_query_count,
-    coherent_estimate,
     estimate_theta,
     estimate_theta_full_circuit,
     fold_register,
     grover_operator,
-    parallel_estimate,
     qpe_on_grover_distribution,
 )
-from qregparam.statevector import twos_complement
-
-# a narrow register keeps the coherent-estimate states small in tests
-SMALL_FMT = FixedPointFormat(fraction_bits=8, integer_bits=2)
 
 
 def prep_with_angle(theta, k=2, flag=0):
@@ -30,28 +23,6 @@ def prep_with_angle(theta, k=2, flag=0):
     amps[0] = math.cos(theta)          # flag qubit 0 reads 0
     amps[2 ** (k - 1)] = math.sin(theta)  # flag qubit 0 reads 1
     return StatePrep.from_state(amps, (flag,))
-
-
-class TestFixedPointFormat:
-    def test_round_trip(self):
-        fmt = FixedPointFormat(fraction_bits=8, integer_bits=2)
-        for v in (0.0, 0.5, -0.25, 1.0, -2.0, 1.99609375):
-            code, saturated = fmt.encode(v)
-            assert not saturated
-            assert fmt.decode(code) == pytest.approx(v, abs=2**-9)
-
-    def test_saturation(self):
-        fmt = FixedPointFormat(fraction_bits=8, integer_bits=2)
-        code, saturated = fmt.encode(5.0)
-        assert saturated and fmt.decode(code) == fmt.max_value
-        code, saturated = fmt.encode(-5.0)
-        assert saturated and fmt.decode(code) == fmt.min_value
-
-    def test_default_range(self):
-        fmt = FixedPointFormat()
-        assert fmt.total_bits == 18
-        assert fmt.min_value == -2.0
-        assert fmt.max_value < 2.0
 
 
 class TestStatePrep:
@@ -66,13 +37,6 @@ class TestStatePrep:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             StatePrep.from_state(np.array([1.0, 1.0]), (0,))
-
-    def test_completion_unitary_first_column(self):
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        prep = StatePrep.from_state(v, (0,), build_unitary=True)
-        assert np.allclose(prep.unitary[:, 0], v, atol=1e-12)
 
 
 class TestGroverOperator:
@@ -167,102 +131,3 @@ class TestAccounting:
         est = AmplitudeEstimate(theta_tilde=0.6, n_bits=4, raw_register=3)
         assert est.probability_estimate == pytest.approx(math.sin(0.6) ** 2)
 
-
-class TestCoherentEstimate:
-    def test_identity_function_at_zero_angle(self):
-        prep = prep_with_angle(0.0, k=1)
-        out = coherent_estimate(prep, lambda x: x, 3, fmt=SMALL_FMT)
-        code, _ = SMALL_FMT.encode(1.0)
-        # register order [phase, system, function]: expect |0>|good>|code>
-        assert abs(out.amplitudes[code]) ** 2 == pytest.approx(1.0, abs=1e-10)
-
-    def test_square_function_at_quarter_angle(self):
-        prep = prep_with_angle(math.pi / 4, k=1)
-        out = coherent_estimate(prep, lambda x: x * x, 3, fmt=SMALL_FMT)
-        code, _ = SMALL_FMT.encode(0.5)
-        w = SMALL_FMT.total_bits
-        probs = np.abs(out.amplitudes.reshape(2**3, 2, 2**w)) ** 2
-        func_marginal = probs.sum(axis=(0, 1))
-        assert func_marginal[code] == pytest.approx(1.0, abs=1e-10)
-
-    def test_constant_function_round_trip(self):
-        rng = np.random.default_rng(2)
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        amps /= np.linalg.norm(amps)
-        prep = StatePrep.from_state(amps, (0,))
-        out = coherent_estimate(prep, lambda x: 0.75, 4, fmt=SMALL_FMT)
-        code, _ = SMALL_FMT.encode(0.75)
-        w = SMALL_FMT.total_bits
-        psi = out.amplitudes.reshape(2**4, 4, 2**w)
-        assert np.linalg.norm(psi[0, :, code] - amps) <= 1e-8
-
-    def test_nondyadic_matches_pushed_distribution(self):
-        theta = 0.513
-        prep = prep_with_angle(theta, k=1)
-        n = 5
-        out = coherent_estimate(prep, lambda x: x, n, fmt=SMALL_FMT)
-        w = SMALL_FMT.total_bits
-        probs = np.abs(out.amplitudes.reshape(2**n, 2, 2**w)) ** 2
-        func_marginal = probs.sum(axis=(0, 1))
-        expect = np.zeros(2**w)
-        qpe = qpe_on_grover_distribution(theta, n)
-        for y, pr in enumerate(qpe):
-            val = math.cos(math.pi * twos_complement(y, n) / 2**n)
-            code, _ = SMALL_FMT.encode(val)
-            expect[code] += pr
-        assert np.allclose(func_marginal, expect, atol=1e-10)
-
-    def test_saturation_warns(self):
-        prep = prep_with_angle(0.0, k=1)
-        with pytest.warns(RuntimeWarning, match="saturated"):
-            coherent_estimate(prep, lambda x: 100.0 * x, 3, fmt=SMALL_FMT)
-
-
-class TestParallelEstimate:
-    def test_single_branch_reduces(self):
-        prep = prep_with_angle(0.0, k=1)
-        a = parallel_estimate([prep], [lambda x: x], np.array([1.0]), 3, fmt=SMALL_FMT)
-        b = coherent_estimate(prep, lambda x: x, 3, fmt=SMALL_FMT)
-        assert np.allclose(a.amplitudes, b.amplitudes)
-
-    def test_identical_branches_symmetric(self):
-        prep = prep_with_angle(math.pi / 4, k=1)
-        f = lambda x: x
-        w = np.array([1.0, 1.0]) / math.sqrt(2)
-        out = parallel_estimate([prep, prep], [f, f], w, 3, fmt=SMALL_FMT)
-        half = out.amplitudes.size // 2
-        assert np.allclose(out.amplitudes[:half], out.amplitudes[half:])
-
-    def test_dyadic_branches_hold_exact_cosines(self):
-        n = 4
-        thetas = [0.0, math.pi * 2 / 2**n, math.pi * 4 / 2**n, math.pi * 6 / 2**n]
-        preps = [prep_with_angle(t, k=1) for t in thetas]
-        fs = [lambda x: x] * 4
-        weights = np.full(4, 0.5)
-        out = parallel_estimate(preps, fs, weights, n, fmt=SMALL_FMT)
-        w = SMALL_FMT.total_bits
-        psi = np.abs(out.amplitudes.reshape(4, 2**n, 2, 2**w)) ** 2
-        for j, t in enumerate(thetas):
-            code, _ = SMALL_FMT.encode(math.cos(t))
-            branch = psi[j].sum(axis=(0, 1))
-            assert branch[code] == pytest.approx(0.25, abs=1e-10)
-
-    def test_weights_preserved(self):
-        prep = prep_with_angle(0.0, k=1)
-        weights = np.array([0.6, 0.8])
-        out = parallel_estimate([prep, prep], [lambda x: x] * 2, weights, 3,
-                                fmt=SMALL_FMT)
-        half = out.amplitudes.size // 2
-        mass = [np.sum(np.abs(out.amplitudes[:half]) ** 2),
-                np.sum(np.abs(out.amplitudes[half:]) ** 2)]
-        assert mass == pytest.approx([0.36, 0.64], abs=1e-8)
-
-    def test_validation(self):
-        p1 = prep_with_angle(0.1, k=1)
-        p2 = prep_with_angle(0.1, k=2)
-        with pytest.raises(ValueError, match="width"):
-            parallel_estimate([p1, p2], [lambda x: x] * 2,
-                              np.array([1.0, 1.0]) / math.sqrt(2), 3, fmt=SMALL_FMT)
-        with pytest.raises(ValueError, match="unit norm"):
-            parallel_estimate([p1, p1], [lambda x: x] * 2, np.array([1.0, 1.0]), 3,
-                              fmt=SMALL_FMT)

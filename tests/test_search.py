@@ -8,6 +8,7 @@ import pytest
 from qregparam import (
     HhlConfig,
     ParameterGrid,
+    SpectrumResolutionError,
     build_extended,
     classical_select,
     compute_svd,
@@ -20,14 +21,10 @@ from qregparam import (
     lcurve_pipeline,
     tikhonov_solve,
 )
+from qregparam import hhl
 from qregparam.search import durr_hoyer_budget, principal_singular_values
 
 from conftest import random_problem
-
-
-def template_cfg(n_phase_bits=6):
-    return HhlConfig(n_phase_bits=n_phase_bits, c_tilde=1.0, sigma_max=1.0,
-                     t_evolution=1.0)
 
 
 class TestParameterGrid:
@@ -93,7 +90,7 @@ class TestLCurvePipeline:
     def test_single_mu_reduces_to_estimators(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=0)
         grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
-        res = lcurve_pipeline(prob, grid, template_cfg(), 0.05,
+        res = lcurve_pipeline(prob, grid, 6, 0.05,
                               np.random.default_rng(1), repeats=3)
         assert res.chosen_index == 0
         ext = build_extended(prob.A, 0.5)
@@ -107,7 +104,7 @@ class TestLCurvePipeline:
     def test_noiseless_system_prefers_small_mu(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.0, seed=4)
         grid = ParameterGrid.geometric(0.8, 0.5, 4)
-        res = lcurve_pipeline(prob, grid, template_cfg(), 0.02,
+        res = lcurve_pipeline(prob, grid, 6, 0.02,
                               np.random.default_rng(2), repeats=3)
         cl = classical_select(prob, grid, "lcurve-sum")
         assert abs(res.chosen_index - cl.chosen_index) <= 1
@@ -116,15 +113,35 @@ class TestLCurvePipeline:
         prob = generate_problem("geometric-spectrum", 2, 2, 0.01, seed=0)
         grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
         with pytest.raises(Exception, match="at mu"):
-            lcurve_pipeline(prob, grid, template_cfg(n_phase_bits=2), 0.05,
+            lcurve_pipeline(prob, grid, 2, 0.05,
                             np.random.default_rng(0))
+        # the GCV singular-value sampling step runs at mu_1 too
+        with pytest.raises(SpectrumResolutionError, match=r"\(at mu = 0\.5\)$"):
+            gcv_pipeline(prob, grid, 2, 2, 0.05, np.random.default_rng(0))
+
+    def test_non_message_errors_pass_through(self, monkeypatch):
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:  # numpy < 2
+            from numpy.core._exceptions import _ArrayMemoryError
+
+        def out_of_memory(*args, **kwargs):
+            raise _ArrayMemoryError((2**40,), np.dtype(complex))
+
+        monkeypatch.setattr(hhl, "hhl_solution_state", out_of_memory)
+        prob = generate_problem("geometric-spectrum", 2, 2, 0.01, seed=0)
+        grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
+        with pytest.raises(MemoryError):
+            lcurve_pipeline(prob, grid, 6, 0.05, np.random.default_rng(0))
+        with pytest.raises(MemoryError):
+            gcv_pipeline(prob, grid, 2, 6, 0.05, np.random.default_rng(0))
 
     def test_translation_shifts_criterion(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=1)
         grid = ParameterGrid.geometric(0.8, 0.5, 3)
-        a = lcurve_pipeline(prob, grid, template_cfg(), 0.02,
+        a = lcurve_pipeline(prob, grid, 6, 0.02,
                             np.random.default_rng(3), repeats=3)
-        b = lcurve_pipeline(prob, grid, template_cfg(), 0.02,
+        b = lcurve_pipeline(prob, grid, 6, 0.02,
                             np.random.default_rng(3), repeats=3,
                             translation=(10.0, 10.0))
         assert not np.allclose(a.criterion_values, b.criterion_values)
@@ -176,7 +193,7 @@ class TestGcvPipeline:
     def test_single_mu_matches_lowrank_oracle(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=2)
         grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
-        res = gcv_pipeline(prob, grid, 2, template_cfg(), 0.02,
+        res = gcv_pipeline(prob, grid, 2, 6, 0.02,
                            np.random.default_rng(0), repeats=3)
         assert res.chosen_index == 0
         # recompute the criterion classically from exact quantities
@@ -188,7 +205,7 @@ class TestGcvPipeline:
     def test_full_rank_matches_gcv_value(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=3)
         grid = ParameterGrid.geometric(0.8, 0.5, 3)
-        res = gcv_pipeline(prob, grid, 2, template_cfg(n_phase_bits=8), 0.005,
+        res = gcv_pipeline(prob, grid, 2, 8, 0.005,
                            np.random.default_rng(1), repeats=3)
         svd = compute_svd(prob.A)
         for j, mu in enumerate(grid.mus):

@@ -15,7 +15,6 @@ from qregparam.statevector import (
     _apply_qft_fast,
     apply,
     basis_state,
-    bits_to_int,
     controlled,
     hamiltonian_evolution,
     measure,
@@ -67,11 +66,6 @@ class TestUnitaryOp:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             UnitaryOp(np.eye(3, dtype=complex))
-
-    def test_dagger_and_power(self):
-        G = rotation(0.3)
-        assert np.allclose((G.power(2)).matrix, rotation(0.6).matrix)
-        assert np.allclose(G.dagger().matrix @ G.matrix, np.eye(2), atol=1e-12)
 
 
 class TestControlled:
@@ -225,9 +219,6 @@ class TestInfrastructure:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             zero_state(25)
-
-    def test_bits_to_int(self):
-        assert bits_to_int((1, 0, 1)) == 5
 
     def test_twos_complement(self):
         assert twos_complement(3, 3) == 3
