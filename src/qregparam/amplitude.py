@@ -19,7 +19,6 @@ from .statevector import (
     UnitaryOp,
     measure,
     phase_estimation,
-    register_distribution,
     twos_complement,
 )
 
@@ -62,10 +61,11 @@ class StatePrep:
     @property
     def theta(self) -> float:
         """Rotation angle in [0, pi/2] with cos(theta) the good-branch amplitude."""
-        mask = self.good_mask()
-        good = np.linalg.norm(self.state[mask])
-        bad = np.linalg.norm(self.state[~mask])
-        return math.atan2(bad, good)
+        f = len(self.flag_qubits)
+        psi = np.moveaxis(self.state.reshape((2,) * self.num_qubits),
+                          self.flag_qubits, range(f)).reshape(2**f, -1)
+        # row 0: every flag qubit reads 0
+        return math.atan2(np.linalg.norm(psi[1:]), np.linalg.norm(psi[0]))
 
 
 @dataclass
@@ -95,20 +95,41 @@ def fold_register(y: int, n_bits: int) -> float:
     return abs(twos_complement(y, n_bits)) * math.pi / 2**n_bits
 
 
-def _plane_rotation(theta: float) -> UnitaryOp:
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return UnitaryOp(np.array([[c, -s], [s, c]], dtype=complex))
+def _fejer(offsets: np.ndarray, frac: float, N: int) -> np.ndarray:
+    """Fejer kernel F_N(m - frac) = sin^2(pi (m - frac)) / (N sin(pi (m - frac) / N))^2.
+
+    The offsets m are integers in [-N/2, N/2) and |frac| <= 1/2, so the
+    numerator is sin^2(pi frac) without cancellation and the denominator
+    vanishes only at m - frac = 0, where the kernel is 1.
+    """
+    if frac == 0.0:
+        return (offsets == 0).astype(float)
+    return math.sin(math.pi * frac) ** 2 / (N * np.sin(np.pi * (offsets - frac) / N)) ** 2
 
 
 def qpe_on_grover_distribution(theta: float, n_bits: int) -> np.ndarray:
     """Exact phase-register distribution of QPE on the Grover operator.
 
-    Computed on the 2-dimensional invariant subspace spanned by the good and
-    bad branches, where G acts as the rotation by 2*theta.
+    On the plane of the good and bad branches G rotates by 2*theta; the input
+    state has weight 1/2 on each of its eigenvectors, with eigenphases
+    +-theta/pi.  The register therefore reads y with probability
+    F_N(y - N theta/pi)/2 + F_N(y + N theta/pi)/2, F_N the Fejer kernel
+    (Brassard, Hoyer, Mosca, Tapp, arXiv:quant-ph/0005055).  Each argument is
+    reduced to an integer offset from the peak, so theta = 0, pi/2 and
+    dyadic angles give exact point masses.
     """
-    inp = StateVector(1, np.array([math.cos(theta), math.sin(theta)], dtype=complex))
-    out = phase_estimation(_plane_rotation(theta), inp, n_bits)
-    return register_distribution(out, list(range(n_bits)))
+    N = 2**n_bits
+    peak = N * theta / math.pi
+    centre = round(peak)
+    frac = peak - centre
+    # within rounding of an integer: the peak sits exactly on a grid point
+    if abs(frac) <= 2 * math.ulp(peak):
+        frac = 0.0
+    half = N // 2
+    # F_N(m - frac) for m = -N/2 .. N/2 - 1, rotated so index y holds F_N(y - peak)
+    minus = np.roll(_fejer(np.arange(-half, half, dtype=float), frac, N), centre - half)
+    # F_N(y + peak) = F_N(-y - peak): the same values read at -y mod N
+    return 0.5 * (minus + np.roll(minus[::-1], 1))
 
 
 def estimate_theta(prep: StatePrep, n_bits: int, rng: np.random.Generator,

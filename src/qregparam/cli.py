@@ -56,6 +56,12 @@ class RunConfig:
             raise ValueError("p must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.n_phase_bits < 1:
+            raise ValueError(f"--phase-bits must be >= 1, got {self.n_phase_bits}")
+        if self.repeats < 1 or self.repeats % 2 == 0:
+            raise ValueError(f"--repeats must be odd and >= 1, got {self.repeats}")
+        if self.method == "gcv" and self.rank < 1:
+            raise ValueError(f"--rank must be >= 1 for gcv, got {self.rank}")
         if self.matrix_file is None and self.problem is None:
             raise ValueError("need either a generator kind or a matrix file")
 

@@ -28,9 +28,7 @@ from .amplitude import (
 from .linalg import ExtendedMatrix
 from .statevector import (
     StateVector,
-    UnitaryOp,
     _check_capacity,
-    phase_estimation,
     qpe_forward,
     qpe_inverse,
     zero_state,
@@ -146,8 +144,13 @@ def _spectral_cells(eigvals: np.ndarray, t: float, n_bits: int) -> dict[int, flo
     return cells
 
 
-def _evolution_operator(H: np.ndarray, t: float, n_bits: int,
-                        snap: bool) -> tuple[UnitaryOp, dict[int, float]]:
+def _evolution_operator(H: np.ndarray, t: float, n_bits: int, snap: bool
+                        ) -> tuple[tuple[np.ndarray, np.ndarray], dict[int, float]]:
+    """Eigendecomposition (V, phases) of the simulated e^{-i t H}, and its cells.
+
+    The evolution is V diag(e^{2 pi i phases}) V^dag: phases = -w t / 2 pi,
+    or with snap each nonzero eigenvalue's phase cell y / 2^n_bits.
+    """
     w, V = np.linalg.eigh(H)
     if np.max(np.abs(w)) * t >= math.pi:
         raise ValueError("t_evolution does not scale all eigenvalues into (-pi, pi)")
@@ -162,10 +165,9 @@ def _evolution_operator(H: np.ndarray, t: float, n_bits: int,
             else:
                 y = min((c for c in cells if c), key=lambda c: abs(cells[c] - lam))
                 phases[i] = y / N
-        mat = (V * np.exp(2j * math.pi * phases)) @ V.conj().T
     else:
-        mat = (V * np.exp(-1j * w * t)) @ V.conj().T
-    return UnitaryOp(mat), cells
+        phases = -w * t / (2 * math.pi)
+    return (V, phases), cells
 
 
 def _grid_eigenvalue(y: int, t: float, n_bits: int) -> float:
@@ -204,30 +206,27 @@ def _rotate_ancilla(state: StateVector, amps_by_cell: np.ndarray, n_bits: int,
     psi = state.amplitudes.reshape((2,) * q)
     psi = np.moveaxis(psi, [*range(n_bits), ancilla], [*range(n_bits), q - 1])
     shape = psi.shape
-    psi = psi.reshape(2**n_bits, -1, 2).copy()
-    a = amps_by_cell
+    psi = psi.reshape(2**n_bits, -1, 2)
+    a = amps_by_cell[:, np.newaxis]
     b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
-    rot = np.zeros((2**n_bits, 2, 2))
-    rot[:, 0, 0] = a
-    rot[:, 0, 1] = -b
-    rot[:, 1, 0] = b
-    rot[:, 1, 1] = a
-    psi = np.einsum("yab,ysb->ysa", rot, psi)
-    psi = np.moveaxis(psi.reshape(shape), [*range(n_bits), q - 1],
+    out = np.empty_like(psi)
+    out[:, :, 0] = a * psi[:, :, 0] - b * psi[:, :, 1]
+    out[:, :, 1] = b * psi[:, :, 0] + a * psi[:, :, 1]
+    psi = np.moveaxis(out.reshape(shape), [*range(n_bits), q - 1],
                       [*range(n_bits), ancilla])
     return StateVector(q, psi.reshape(-1))
 
 
 def _dilation_parts(ext: ExtendedMatrix, cfg: HhlConfig):
     Hd, k = _padded(ext.dilation)
-    U, cells = _evolution_operator(Hd, cfg.t_evolution, cfg.n_phase_bits,
-                                   cfg.snap_spectrum)
+    eig, cells = _evolution_operator(Hd, cfg.t_evolution, cfg.n_phase_bits,
+                                     cfg.snap_spectrum)
     lam_min = min(abs(v) for c, v in cells.items() if c) if len(cells) > 1 else 0.0
     if lam_min and cfg.c_tilde > lam_min * (1 + 1e-9):
         raise ValueError(
             f"c_tilde {cfg.c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
         )
-    return Hd, k, U, cells
+    return k, eig, cells
 
 
 def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> StateVector:
@@ -236,15 +235,17 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> St
     Register order: [phase (n_phase_bits), system (dilation, padded), ancilla].
     The x block occupies system coordinates m+n .. m+2n-1.
     """
-    _, k, U, cells = _dilation_parts(ext, cfg)
+    k, eig, cells = _dilation_parts(ext, cfg)
     n = cfg.n_phase_bits
     _check_capacity(n + k + 1)
-    state = phase_estimation(U, prepare_b_state(b, k), n)
-    state = state.tensor(zero_state(1))
+    amps = np.zeros(2 ** (n + k + 1), dtype=complex)
+    amps[: 2 ** (k + 1): 2] = prepare_b_state(b, k).amplitudes  # phase 0, ancilla 0
+    phase, system = list(range(n)), list(range(n, n + k))
+    state = qpe_forward(StateVector(n + k + 1, amps), eig, phase, system)
     amps = _cell_amplitudes(cells, cfg.t_evolution, n, cfg.snap_spectrum,
                             numerator=cfg.c_tilde, invert=True)
     state = _rotate_ancilla(state, amps, n, ancilla=n + k)
-    return qpe_inverse(state, U, list(range(n)), list(range(n, n + k)))
+    return qpe_inverse(state, eig, phase, system)
 
 
 def _multiply_dilation(ext: ExtendedMatrix) -> np.ndarray:
@@ -256,60 +257,60 @@ def _multiply_dilation(ext: ExtendedMatrix) -> np.ndarray:
     return D
 
 
-def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> StateVector:
+def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
+                  solution: StateVector | None = None) -> StateVector:
     """Good branch (both ancillas |0>) proportional to A x_mu with amplitude C ||x_mu||.
 
     Register order: [phase, system, hhl ancilla, multiply ancilla].
+    solution is hhl_solution_state(ext, b, cfg) when the caller already has it.
     """
-    state = hhl_solution_state(ext, b, cfg)
+    state = hhl_solution_state(ext, b, cfg) if solution is None else solution
     n = cfg.n_phase_bits
     k = state.num_qubits - n - 1
     _check_capacity(n + k + 2)
     Ha, _ = _padded(_multiply_dilation(ext))
     smax = cfg.sigma_max
     t2 = math.pi / (2.0 * smax) if smax > 0 else 1.0
-    U2, cells2 = _evolution_operator(Ha, t2, n, cfg.snap_spectrum)
+    eig2, cells2 = _evolution_operator(Ha, t2, n, cfg.snap_spectrum)
     state = state.tensor(zero_state(1))
-    state = qpe_forward(state, U2, list(range(n)), list(range(n, n + k)))
+    phase, system = list(range(n)), list(range(n, n + k))
+    state = qpe_forward(state, eig2, phase, system)
     amps = _cell_amplitudes(cells2, t2, n, cfg.snap_spectrum,
                             numerator=0.0, invert=False, scale_div=smax)
     state = _rotate_ancilla(state, amps, n, ancilla=n + k + 1)
-    return qpe_inverse(state, U2, list(range(n)), list(range(n, n + k)))
+    return qpe_inverse(state, eig2, phase, system)
 
 
-def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> StateVector:
+def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
+                   solution: StateVector | None = None) -> StateVector:
     """All-ancillas-zero component equals (t/2)(||x_mu|| A|x_mu> - |b>), b normalized.
 
     Register order: [phase, system, hhl ancilla, multiply ancilla, selector,
     rotation qubit]; the good flag is the four trailing qubits.
+    solution is hhl_solution_state(ext, b, cfg) when the caller already has it.
     """
-    psi = apply_A_state(ext, b, cfg)
+    psi = apply_A_state(ext, b, cfg, solution)
     n = cfg.n_phase_bits
     k = psi.num_qubits - n - 2
     _check_capacity(psi.num_qubits + 2)
-    b_part = np.zeros(2 ** (n + k + 2), dtype=complex)
-    bs = prepare_b_state(b, k)
-    b_part[: 2**k * 4:4] = bs.amplitudes  # phase=0, ancillas=00
-    # selector qubit: |0> carries psi, |1> carries -|b, 0>
-    amps = np.zeros(2 ** (n + k + 3), dtype=complex)
-    amps[0::2] = psi.amplitudes / math.sqrt(2)
-    amps[1::2] = -b_part / math.sqrt(2)
-    state = StateVector(n + k + 3, amps).tensor(zero_state(1))
-    # Step 2: amplitude balancing; radicand corrected to 1 - t^2 C^-2 for unitarity
+    # Step 1: a selector qubit whose |0> carries psi and |1> carries -|b>
+    # (phase 0, ancillas 00).  Step 2: amplitude balancing rotates a fresh
+    # rotation qubit by R(a0) under selector 0 and R(a1) under selector 1;
+    # radicand corrected to 1 - t^2 C^-2 for unitarity.  Step 3: Hadamard on
+    # the selector.  Together: selector s, rotation qubit r carry
+    # (col0[r] psi - col1[r] b) for s = 0 and (col0[r] psi + col1[r] b) for s = 1.
     C = cfg.c_tilde / cfg.sigma_max
     t = min(1.0, C)
-    q = state.num_qubits
-    psi4 = state.amplitudes.reshape(-1, 2, 2).copy()
     a0, a1 = t / C, t
-    r0 = np.array([[a0, -math.sqrt(1 - a0**2)], [math.sqrt(1 - a0**2), a0]])
-    r1 = np.array([[a1, -math.sqrt(1 - a1**2)], [math.sqrt(1 - a1**2), a1]])
-    psi4[:, 0, :] = psi4[:, 0, :] @ r0.T
-    psi4[:, 1, :] = psi4[:, 1, :] @ r1.T
-    state = StateVector(q, psi4.reshape(-1))
-    # Step 3: Hadamard on the selector
-    from .statevector import H, apply
-
-    return apply(state, H, [q - 2])
+    col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
+    col1 = np.array([a1, math.sqrt(1 - a1**2)]) / 2
+    out = np.empty((psi.amplitudes.size, 2, 2), dtype=complex)
+    out[:, 0, :] = np.outer(psi.amplitudes, col0)
+    out[:, 1, :] = out[:, 0, :]
+    b_terms = np.outer(prepare_b_state(b, k).amplitudes, col1)
+    out[: 2**k * 4:4, 0, :] -= b_terms
+    out[: 2**k * 4:4, 1, :] += b_terms
+    return StateVector(psi.num_qubits + 2, out.reshape(-1))
 
 
 def good_flag_qubits(state: StateVector, cfg: HhlConfig, kind: str) -> tuple[int, ...]:
@@ -346,10 +347,10 @@ def estimate_solution_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     return value
 
 
-def _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats):
+def _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution=None):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    state = hhl_solution_state(ext, b, cfg)
+    state = hhl_solution_state(ext, b, cfg) if solution is None else solution
     flags = good_flag_qubits(state, cfg, "solution")
     cos_t, n_ae, queries = _estimate(state, flags, cfg.c_tilde * epsilon, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
@@ -364,10 +365,10 @@ def estimate_residual_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     return value
 
 
-def _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats):
+def _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution=None):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    state = residual_state(ext, b, cfg)
+    state = residual_state(ext, b, cfg, solution)
     flags = good_flag_qubits(state, cfg, "residual")
     C = cfg.c_tilde / cfg.sigma_max
     t = min(1.0, C)
@@ -378,8 +379,14 @@ def _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats):
 
 def estimate_norms(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig, epsilon: float,
                    rng: np.random.Generator, repeats: int = 1) -> NormEstimates:
-    """Both norm estimators in one call, with combined query accounting."""
-    sol, _, q1 = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
-    res, _, q2 = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
+    """Both norm estimators in one call, with combined query accounting.
+
+    The solver state is built once and shared by the two estimators.
+    """
+    solution = hhl_solution_state(ext, b, cfg)
+    sol, _, q1 = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats,
+                                             solution)
+    res, _, q2 = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats,
+                                             solution)
     return NormEstimates(solution_norm=sol, residual_norm=res, epsilon=epsilon,
                          queries_used=q1 + q2)

@@ -202,12 +202,14 @@ def condition_number_mu(svd: SvdFactorization, mu: float) -> float:
     return math.sqrt((smax**2 + mu**2) / mu**2)
 
 
-def build_extended(A: np.ndarray, mu: float) -> ExtendedMatrix:
+def build_extended(A: np.ndarray, mu: float,
+                   svd: SvdFactorization | None = None) -> ExtendedMatrix:
     """Stack A over mu*I and embed the stack in its Hermitian dilation.
 
     Dilation layout is the 3-block form ((0,0,A),(0,0,mu I),(A^dag,mu I,0)),
     with row/column blocks of sizes (m, n, n).  Its nonzero eigenvalues are
-    +-sqrt(sigma_i^2 + mu^2).
+    +-sqrt(sigma_i^2 + mu^2).  svd is compute_svd(A) when the caller already
+    has it (a pipeline factors A once for every grid value).
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -219,7 +221,8 @@ def build_extended(A: np.ndarray, mu: float) -> ExtendedMatrix:
     D[m:m + n, m + n:] = mu * np.eye(n)
     D[m + n:, :m] = A.conj().T
     D[m + n:, m:m + n] = mu * np.eye(n)
-    svd = compute_svd(A)
+    if svd is None:
+        svd = compute_svd(A)
     try:
         kappa = condition_number_mu(svd, mu)
     except ValueError:

@@ -29,6 +29,7 @@ from .hhl import (
 from .linalg import (
     ExtendedMatrix,
     RegularizedProblem,
+    SvdFactorization,
     build_extended,
     compute_svd,
     gcv_lowrank,
@@ -130,14 +131,15 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator,
     return SelectionResult(y, mu_of(y), values, queries, history)
 
 
-def _at_mu(problem: RegularizedProblem, mu: float, n_phase_bits: int,
-           step: Callable[[ExtendedMatrix, HhlConfig], Any]) -> Any:
+def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
+           n_phase_bits: int, step: Callable[[ExtendedMatrix, HhlConfig], Any]) -> Any:
     """Run step(ext, cfg) on (A; mu I) with its derived HhlConfig.
 
-    A ValueError or RuntimeError keeps its type and gains "(at mu = ...)";
-    any other exception reaches the caller unchanged.
+    svd = compute_svd(problem.A), factored once per pipeline.  A ValueError or
+    RuntimeError keeps its type and gains "(at mu = ...)"; any other
+    exception reaches the caller unchanged.
     """
-    ext = build_extended(problem.A, mu)
+    ext = build_extended(problem.A, mu, svd)
     cfg = HhlConfig.for_extended(ext, n_phase_bits=n_phase_bits)
     try:
         return step(ext, cfg)
@@ -157,8 +159,9 @@ def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bi
     criterion = np.empty(grid.p)
     queries = 0
     dx, dr = translation
+    svd = compute_svd(problem.A)
     for j, mu in enumerate(grid.mus):
-        est = _at_mu(problem, float(mu), n_phase_bits, lambda ext, cfg: estimate_norms(
+        est = _at_mu(problem, svd, float(mu), n_phase_bits, lambda ext, cfg: estimate_norms(
             ext, problem.b, cfg, epsilon, rng, repeats))
         sol, res = est.solution_norm, est.residual_norm
         points.append(LCurvePoint(mu=float(mu), residual_norm=res, solution_norm=sol))
@@ -171,12 +174,15 @@ def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bi
 
 
 def principal_singular_values(ext, r: int, n_bits: int, shots: int,
-                              rng: np.random.Generator) -> np.ndarray:
+                              rng: np.random.Generator,
+                              eigvals: np.ndarray | None = None) -> np.ndarray:
     """Singular values of A recovered by QPE sampling on the vectorized dilation.
 
     Prepares |A~> proportional to the matrix entries, runs phase estimation
     with e^{-i t A~} on the row register, samples the phase register, merges
     outcomes with equal magnitude, and converts sigma~ -> sqrt(sigma~^2 - mu^2).
+    eigvals is np.linalg.eigvalsh of the padded dilation when the caller
+    already has it.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -186,7 +192,7 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
     fro = np.linalg.norm(Hd)
     if fro == 0:
         raise ValueError("zero matrix has no singular values to sample")
-    w = np.linalg.eigvalsh(Hd)
+    w = np.linalg.eigvalsh(Hd) if eigvals is None else eigvals
     lam_max = float(np.max(np.abs(w)))
     top = np.sort(np.abs(w))[::-1]
     mass = np.sum(top[: 2 * r] ** 2) / np.sum(top**2)
@@ -198,12 +204,12 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
             stacklevel=2,
         )
     t = math.pi / (2.0 * lam_max)
-    U, _ = _evolution_operator(Hd, t, n_bits, snap=True)
+    eig, _ = _evolution_operator(Hd, t, n_bits, snap=True)
     amps = np.zeros(2 ** (n_bits + 2 * k), dtype=complex)
     amps[: 4**k] = (Hd / fro).reshape(-1)
     state = StateVector(n_bits + 2 * k, amps)
     # QPE couples the phase register to the row register (the high k system qubits)
-    out = qpe_forward(state, U, list(range(n_bits)), list(range(n_bits, n_bits + k)))
+    out = qpe_forward(state, eig, list(range(n_bits)), list(range(n_bits, n_bits + k)))
     probs = register_distribution(out, list(range(n_bits)))
     probs = probs / probs.sum()
     outcomes = rng.choice(2**n_bits, size=shots, p=probs)
@@ -229,19 +235,21 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
                  repeats: int = 5, shots: int | None = None) -> SelectionResult:
     """Singular-value extraction, parallel residual estimation, min of G(mu_j)."""
     def sample(ext: ExtendedMatrix, _cfg: HhlConfig) -> tuple[int, np.ndarray]:
+        eigvals = np.linalg.eigvalsh(_padded(ext.dilation)[0])
         k = shots
         if k is None:
-            w = np.abs(np.linalg.eigvalsh(_padded(ext.dilation)[0]))
+            w = np.abs(eigvals)
             nz = np.sort(w[w > 1e-12 * w.max()])
             ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
             k = max(10 * r, math.ceil(10 * r * ratio))
-        return k, principal_singular_values(ext, r, n_phase_bits, k, rng)
+        return k, principal_singular_values(ext, r, n_phase_bits, k, rng, eigvals)
 
-    shots, sigma_est = _at_mu(problem, float(grid.mus[0]), n_phase_bits, sample)
+    svd = compute_svd(problem.A)
+    shots, sigma_est = _at_mu(problem, svd, float(grid.mus[0]), n_phase_bits, sample)
     criterion = np.empty(grid.p)
     queries = shots
     for j, mu in enumerate(grid.mus):
-        res, _, q = _at_mu(problem, float(mu), n_phase_bits,
+        res, _, q = _at_mu(problem, svd, float(mu), n_phase_bits,
                            lambda ext, cfg: _residual_norm_with_queries(
                                ext, problem.b, cfg, epsilon, rng, repeats))
         criterion[j] = gcv_lowrank(sigma_est, res**2, problem.m, problem.n, float(mu))

@@ -7,6 +7,7 @@ register value y and a system state s combine into index y * 2^k + s.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,19 @@ def _successive_powers(op: UnitaryOp, n_bits: int) -> list[np.ndarray]:
     return pows
 
 
+def _fourier(block: np.ndarray, inverse: bool) -> np.ndarray:
+    """QFT (or its inverse) along axis 0 of a (2^n, ...) block, via an FFT."""
+    scale = 2 ** ((block.shape[0].bit_length() - 1) / 2)
+    # QFT has exponent +2 pi i jk / N: that is numpy's ifft up to normalization
+    if inverse:
+        out = np.fft.fft(block, axis=0)
+        out /= scale
+    else:
+        out = np.fft.ifft(block, axis=0)
+        out *= scale
+    return out
+
+
 def _apply_qft_fast(state: StateVector, targets: list[int], inverse: bool) -> StateVector:
     """Apply the QFT to a register via an FFT along its axis.
 
@@ -175,20 +189,82 @@ def _apply_qft_fast(state: StateVector, targets: list[int], inverse: bool) -> St
     psi = state.amplitudes.reshape((2,) * q)
     psi = np.moveaxis(psi, targets, range(n))
     shape = psi.shape
-    block = psi.reshape(2**n, -1)
-    scale = 2 ** (n / 2)
-    # QFT has exponent +2 pi i jk / N: that is numpy's ifft up to normalization
-    if inverse:
-        block = np.fft.fft(block, axis=0) / scale
-    else:
-        block = np.fft.ifft(block, axis=0) * scale
+    block = _fourier(psi.reshape(2**n, -1), inverse)
     psi = np.moveaxis(block.reshape(shape), range(n), targets)
     return StateVector(q, psi.reshape(-1))
 
 
-def qpe_forward(state: StateVector, op: UnitaryOp,
+def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
+    """In place: H on every qubit of the register along axis 0 of a C-ordered block.
+
+    The butterflies run one qubit at a time; the only temporary is half a block.
+    """
+    N = block.shape[0]
+    flat = block.reshape(N, -1)
+    half = 1
+    while half < N:
+        pairs = flat.reshape(half, 2, -1)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+        half *= 2
+    flat *= 1.0 / math.sqrt(N)
+    return block
+
+
+def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
+               phase_targets: list[int], system_targets: list[int],
+               inverse: bool) -> StateVector:
+    """The controlled-power ladder of QPE evaluated in the eigenbasis of op.
+
+    With op = V diag(e^{2 pi i phases}) V^dag, the ladder applies op^y to the
+    system when the phase register holds y, so in the eigenbasis it is one
+    elementwise factor e^{2 pi i y phases_j}.  The amplitudes are laid out as
+    (phase register, other qubits, system register), so that each change of
+    basis is one matrix product.
+    """
+    V, phases = eig
+    n, k = len(phase_targets), len(system_targets)
+    q = state.num_qubits
+    rest = [i for i in range(q) if i not in phase_targets and i not in system_targets]
+    order = [*phase_targets, *rest, *system_targets]
+    psi = np.transpose(state.amplitudes.reshape((2,) * q), order)
+    if inverse:
+        psi = _fourier(psi.reshape(2**n, -1), inverse=False)
+    else:
+        psi = _walsh_hadamard(np.array(psi, order="C").reshape(2**n, -1))
+    shape = (2**n, -1, 2**k)
+    # y * phase reduced mod 1 before scaling by 2 pi keeps dyadic phases exact
+    turns = np.outer(np.arange(2**n), phases) % 1.0
+    factor = np.exp((-2j if inverse else 2j) * math.pi * turns)
+    psi = (psi.reshape(-1, 2**k) @ V.conj()).reshape(shape)   # V^dag on the system
+    psi *= factor[:, np.newaxis, :]
+    psi = (psi.reshape(-1, 2**k) @ V.T).reshape(2**n, -1)      # V on the system
+    psi = _walsh_hadamard(psi) if inverse else _fourier(psi, inverse=True)
+    psi = np.transpose(psi.reshape((2,) * q), np.argsort(order))
+    return StateVector(q, psi.reshape(-1))
+
+
+def qpe_forward(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
                 phase_targets: list[int], system_targets: list[int]) -> StateVector:
-    """Hadamards, the controlled-op^{2^j} ladder, then the inverse QFT."""
+    """Hadamards, the controlled-op^{2^j} ladder, then the inverse QFT.
+
+    eig = (V, phases) describes op = V diag(e^{2 pi i phases}) V^dag; the
+    ladder is evaluated in that eigenbasis (_ladder_forward is the same
+    circuit gate by gate).
+    """
+    return _eigen_qpe(state, eig, phase_targets, system_targets, inverse=False)
+
+
+def qpe_inverse(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
+                phase_targets: list[int], system_targets: list[int]) -> StateVector:
+    """Exact inverse of qpe_forward."""
+    return _eigen_qpe(state, eig, phase_targets, system_targets, inverse=True)
+
+
+def _ladder_forward(state: StateVector, op: UnitaryOp,
+                    phase_targets: list[int], system_targets: list[int]) -> StateVector:
+    """qpe_forward simulated gate by gate with controlled powers of a dense op."""
     n = len(phase_targets)
     pows = _successive_powers(op, n)
     for j in phase_targets:
@@ -199,9 +275,9 @@ def qpe_forward(state: StateVector, op: UnitaryOp,
     return _apply_qft_fast(state, list(phase_targets), inverse=True)
 
 
-def qpe_inverse(state: StateVector, op: UnitaryOp,
-                phase_targets: list[int], system_targets: list[int]) -> StateVector:
-    """Exact inverse of qpe_forward."""
+def _ladder_inverse(state: StateVector, op: UnitaryOp,
+                    phase_targets: list[int], system_targets: list[int]) -> StateVector:
+    """Exact inverse of _ladder_forward; the tests' reference for qpe_inverse."""
     n = len(phase_targets)
     pows = _successive_powers(op, n)
     state = _apply_qft_fast(state, list(phase_targets), inverse=False)
@@ -224,7 +300,8 @@ def phase_estimation(op: UnitaryOp, input_state: StateVector, n_bits: int) -> St
     """Standard QPE; returns the combined [phase register, system] state.
 
     For an eigenvector with eigenvalue e^{2 pi i y / 2^n} (integer y) the phase
-    register ends in |y> exactly.
+    register ends in |y> exactly.  Simulated gate by gate with controlled
+    powers of op.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
@@ -238,7 +315,8 @@ def phase_estimation(op: UnitaryOp, input_state: StateVector, n_bits: int) -> St
     amps = np.zeros(2 ** (n_bits + k), dtype=complex)
     amps[: 2**k] = input_state.amplitudes
     state = StateVector(n_bits + k, amps)
-    return qpe_forward(state, op, list(range(n_bits)), list(range(n_bits, n_bits + k)))
+    return _ladder_forward(state, op, list(range(n_bits)),
+                           list(range(n_bits, n_bits + k)))
 
 
 def measure(state: StateVector, qubits: list[int],

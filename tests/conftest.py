@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from qregparam import HhlConfig, RegularizedProblem, build_extended
+from qregparam import HhlConfig, RegularizedProblem, UnitaryOp, build_extended
+from qregparam.statevector import _ladder_forward, _ladder_inverse
 
 
 @pytest.fixture
@@ -25,3 +26,12 @@ def random_problem(rng, m, n, rank_deficient=False):
         A = (U * s) @ Vh
     b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return RegularizedProblem(A=A, b=b)
+
+
+def gate_level_qpe(state, eig, phase_targets, system_targets, inverse=False):
+    """Reference for qpe_forward/qpe_inverse: the gate-by-gate controlled-power
+    ladder on the dense op = V diag(e^{2 pi i phases}) V^dag."""
+    V, phases = eig
+    op = UnitaryOp((V * np.exp(2j * np.pi * phases)) @ V.conj().T)
+    ladder = _ladder_inverse if inverse else _ladder_forward
+    return ladder(state, op, phase_targets, system_targets)

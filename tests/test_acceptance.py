@@ -99,8 +99,9 @@ def test_04_amplitude_estimation_bound():
     ok = True
     rng = np.random.default_rng(42)
     n = 8
-    for _ in range(100):
-        theta = float(rng.uniform(0, math.pi / 2))
+    edges = [0.0, math.pi / 2, *(k * math.pi / 2**n + d for k in (1, 77, 127)
+                                 for d in (0.0, 1e-12, -1e-12))]
+    for theta in edges + [float(rng.uniform(0, math.pi / 2)) for _ in range(100)]:
         probs = qpe_on_grover_distribution(theta, n)
         folded = {}
         for y, pr in enumerate(probs):

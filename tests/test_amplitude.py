@@ -4,6 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from qregparam.statevector import (
+    StateVector,
+    UnitaryOp,
+    phase_estimation,
+    register_distribution,
+)
 from qregparam.amplitude import (
     AmplitudeEstimate,
     StatePrep,
@@ -15,6 +21,15 @@ from qregparam.amplitude import (
     grover_operator,
     qpe_on_grover_distribution,
 )
+
+
+def gate_level_distribution(theta, n_bits):
+    """Reference: QPE simulated gate by gate on the plane rotation by 2*theta."""
+    c, s = math.cos(2 * theta), math.sin(2 * theta)
+    rotation = UnitaryOp(np.array([[c, -s], [s, c]], dtype=complex))
+    inp = StateVector(1, np.array([math.cos(theta), math.sin(theta)], dtype=complex))
+    out = phase_estimation(rotation, inp, n_bits)
+    return register_distribution(out, list(range(n_bits)))
 
 
 def prep_with_angle(theta, k=2, flag=0):
@@ -113,8 +128,21 @@ class TestEstimateTheta:
         assert full.theta_tilde == pytest.approx(theta, abs=1e-9)
 
     def test_distribution_is_symmetric(self):
-        probs = qpe_on_grover_distribution(0.3, 5)
-        assert probs[1:][::-1] == pytest.approx(probs[1:], abs=1e-12)
+        # the closed form against the gate-level circuit: at 0 and pi/2, on a
+        # grid angle k pi / 2^n and 1e-12 either side of it, and at random
+        rng = np.random.default_rng(9)
+        for n in range(1, 17):
+            grid = max(1, 2 ** (n - 1) - 1) * math.pi / 2**n
+            for theta in (0.0, math.pi / 2, grid, grid + 1e-12, grid - 1e-12,
+                          float(rng.uniform(0, math.pi / 2))):
+                probs = qpe_on_grover_distribution(theta, n)
+                if theta in (0.0, math.pi / 2, grid):  # exact point masses
+                    assert np.count_nonzero(probs) <= 2
+                assert np.all(np.isfinite(probs)) and np.all(probs >= 0)
+                assert abs(probs.sum() - 1.0) <= 1e-12
+                assert np.max(np.abs(probs[1:][::-1] - probs[1:]), initial=0.0) <= 1e-12
+                ref = gate_level_distribution(theta, n)
+                assert np.max(np.abs(probs - ref)) <= 1e-10
 
 
 class TestAccounting:

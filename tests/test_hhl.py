@@ -1,8 +1,10 @@
 """Solver states on the extended matrix and the amplitude-estimated norms."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qregparam import (
     HhlConfig,
@@ -18,9 +20,10 @@ from qregparam import (
     residual_state,
     tikhonov_solve,
 )
+from qregparam import hhl
 from qregparam.hhl import good_flag_qubits, solution_block
 
-from conftest import random_problem
+from conftest import gate_level_qpe, random_problem
 
 
 def flag_zero_mass(state, cfg, kind):
@@ -117,6 +120,44 @@ class TestSolutionState:
         st = hhl_solution_state(ext, b, cfg)
         mass = flag_zero_mass(st, cfg, "solution")
         assert mass == pytest.approx(cfg.c_tilde**2 * 0.64, rel=0.15)
+
+
+class TestGateLevelReference:
+    """The states built with the eigenbasis QPE equal the gate-level circuit's."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+           rank_deficient=st.booleans(), real=st.booleans(), snap=st.booleans(),
+           n_bits=st.integers(1, 8))
+    def test_states_match(self, seed, m, n, rank_deficient, real, snap, n_bits):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
+        A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
+        ext = build_extended(A, float(rng.uniform(0.2, 1.5)))
+        cfg = HhlConfig.for_extended(ext, n_phase_bits=n_bits, snap_spectrum=snap)
+
+        def states():
+            sol = hhl_solution_state(ext, b, cfg)
+            return (sol, apply_A_state(ext, b, cfg, sol),
+                    residual_state(ext, b, cfg, sol))
+
+        gate_level = (
+            mock.patch.object(hhl, "qpe_forward",
+                              lambda *args: gate_level_qpe(*args, inverse=False)),
+            mock.patch.object(hhl, "qpe_inverse",
+                              lambda *args: gate_level_qpe(*args, inverse=True)),
+        )
+        try:
+            got = states()
+        except (SpectrumResolutionError, ValueError) as exc:
+            with gate_level[0], gate_level[1], pytest.raises(type(exc)):
+                states()
+            return
+        with gate_level[0], gate_level[1]:
+            ref = states()
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g.amplitudes - r.amplitudes)) <= 1e-11
+        assert np.array_equal(residual_state(ext, b, cfg).amplitudes, got[2].amplitudes)
 
 
 class TestApplyAState:

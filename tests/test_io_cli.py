@@ -142,6 +142,16 @@ class TestRunConfig:
                       rho=1.5).validate()
         with pytest.raises(ValueError, match="generator"):
             RunConfig(method="lcurve", problem=None).validate()
+        for bits in (0, -1):
+            with pytest.raises(ValueError, match="--phase-bits"):
+                RunConfig(method="lcurve", problem="geometric-spectrum",
+                          n_phase_bits=bits).validate()
+        for repeats in (4, 0, -1):
+            with pytest.raises(ValueError, match="--repeats"):
+                RunConfig(method="lcurve", problem="geometric-spectrum",
+                          repeats=repeats).validate()
+        with pytest.raises(ValueError, match="--rank"):
+            RunConfig(method="gcv", problem="geometric-spectrum", rank=0).validate()
 
 
 class TestCli:

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qregparam import build_extended
+from qregparam.hhl import _padded
 from qregparam.statevector import (
     CapacityError,
     H,
@@ -20,10 +23,14 @@ from qregparam.statevector import (
     measure,
     phase_estimation,
     qft,
+    qpe_forward,
+    qpe_inverse,
     register_distribution,
     twos_complement,
     zero_state,
 )
+
+from conftest import gate_level_qpe, random_problem
 
 
 def rotation(angle):
@@ -181,6 +188,39 @@ class TestPhaseEstimation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             phase_estimation(qft(2), basis_state(1, 0), 2)
+
+
+class TestEigenbasisQpe:
+    """qpe_forward/qpe_inverse against the gate-level ladder on dilation spectra."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+           rank_deficient=st.booleans(), real=st.booleans(), snap=st.booleans(),
+           n_bits=st.integers(1, 8), rest=st.integers(0, 2))
+    def test_matches_gate_ladder(self, seed, m, n, rank_deficient, real, snap,
+                                 n_bits, rest):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
+        A = prob.A.real if real else prob.A
+        mu = float(rng.uniform(0.1, 1.5))
+        Hd, k = _padded(build_extended(A, mu).dilation)
+        w, V = np.linalg.eigh(Hd)
+        t = math.pi / (2 * np.max(np.abs(w)))
+        phases = -w * t / (2 * math.pi)
+        if snap:
+            phases = np.round(phases * 2**n_bits) / 2**n_bits
+        q = n_bits + k + rest
+        order = [int(i) for i in rng.permutation(q)]
+        phase, system = order[:n_bits], order[n_bits:n_bits + k]
+        amps = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
+        state = StateVector(q, amps / np.linalg.norm(amps))
+        eig = (V, phases)
+        for inverse, kernel in ((False, qpe_forward), (True, qpe_inverse)):
+            got = kernel(state, eig, phase, system).amplitudes
+            ref = gate_level_qpe(state, eig, phase, system, inverse).amplitudes
+            assert np.max(np.abs(got - ref)) <= 1e-11
+        back = qpe_inverse(qpe_forward(state, eig, phase, system), eig, phase, system)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
 
 
 class TestMeasure:
