@@ -5,12 +5,13 @@ of the stacked matrix (A; mu I), rotates an ancilla by the inverted eigenvalue,
 and uncomputes.  Eigenvalue signs are handled by reading the phase register in
 two's complement with |lambda| t < pi.
 
-By default the simulated evolution snaps each eigenphase to its nearest phase
-cell ("dyadic engineering"): phase estimation is then exact for any spectrum
-and the inversion rotation looks the true eigenvalue up from the cell, so all
-remaining estimator error is attributable to amplitude estimation.  Setting
-snap_spectrum=False simulates the unmodified e^{-i t H} instead, with the
-rotation driven by the raw phase-grid value.
+The simulated evolution always snaps each eigenphase to its phase cell
+("dyadic engineering"): every distinct eigenvalue owns one cell, phase
+estimation is exact, and the rotation reads the true eigenvalue from the
+cell.  All estimator error then comes from amplitude estimation, which the
+pipelines budget through epsilon; the unmodified evolution would add a
+phase-estimation leakage that no error budget accounts for.  A register too
+narrow to give each eigenvalue its own cell raises SpectrumResolutionError.
 """
 from __future__ import annotations
 
@@ -49,11 +50,9 @@ class HhlConfig:
     c_tilde: float
     sigma_max: float
     t_evolution: float
-    snap_spectrum: bool = True
 
     @classmethod
     def for_extended(cls, ext: ExtendedMatrix, n_phase_bits: int = 6,
-                     snap_spectrum: bool = True,
                      c_tilde: float | None = None) -> "HhlConfig":
         """Derive the constants from the classical SVD (a simulator privilege).
 
@@ -62,24 +61,23 @@ class HhlConfig:
         """
         sigma = ext.svd.sigma
         smax = ext.svd.sigma_max
+        if smax == 0:
+            raise ValueError("A is the zero matrix: sigma_max = 0 leaves nothing to "
+                             "scale the A x and residual states by")
         mu = ext.mu
         # nonzero dilation eigenvalues are +-sqrt(sigma_i^2 + mu^2), i = 1..n,
         # padding sigma_i = 0 beyond min(m, n)
-        tail = 0.0 if ext.n > sigma.size or sigma.size == 0 else float(sigma[ext.n - 1])
+        tail = 0.0 if ext.n > sigma.size else float(sigma[ext.n - 1])
         if mu > 0:
             lam_min = math.sqrt(tail**2 + mu**2)
         else:
-            nonzero = sigma[sigma > 1e-12 * smax] if smax > 0 else sigma[:0]
-            if nonzero.size == 0:
-                raise ValueError("dilation has no nonzero eigenvalues (A = 0 and mu = 0)")
-            lam_min = float(nonzero[-1])
+            lam_min = float(sigma[sigma > 1e-12 * smax][-1])
         lam_max = math.sqrt(smax**2 + mu**2)
         return cls(
             n_phase_bits=n_phase_bits,
             c_tilde=lam_min if c_tilde is None else c_tilde,
             sigma_max=smax,
             t_evolution=math.pi / (2.0 * lam_max),
-            snap_spectrum=snap_spectrum,
         )
 
 
@@ -114,85 +112,42 @@ def _padded(H: np.ndarray) -> tuple[np.ndarray, int]:
     return out, k
 
 
-def _spectral_cells(eigvals: np.ndarray, t: float, n_bits: int) -> dict[int, float]:
-    """Map each distinct nonzero eigenvalue to its phase cell; zero maps to cell 0.
+def _phase_cells(H: np.ndarray, t: float, n_bits: int
+                 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The snapped evolution e^{-i t H} as (V, phases), and each cell's eigenvalue.
 
-    Raises SpectrumResolutionError if two distinct eigenvalues collide or a
-    nonzero eigenvalue rounds to cell 0.
+    A distinct nonzero eigenvalue lambda owns the phase cell
+    y = round(2^n_bits ((-lambda t / 2 pi) mod 1)); an eigenvalue within the
+    zero tolerance of its sorted predecessor shares that cell, and a zero
+    eigenvalue gets phase 0.  The evolution is V diag(e^{2 pi i phases}) V^dag
+    with phases = y / 2^n_bits.  The second result, of length 2^n_bits, holds
+    each cell's eigenvalue (0 in cell 0 and in empty cells).
+
+    Raises SpectrumResolutionError if two distinct eigenvalues share a cell or
+    a nonzero eigenvalue rounds to cell 0.
     """
-    N = 2**n_bits
-    scale = max(np.max(np.abs(eigvals)), 1.0)
-    cells: dict[int, float] = {0: 0.0}
-    distinct: list[float] = []
-    for lam in np.sort(eigvals):
-        if abs(lam) <= _ZERO_EIG_TOL * scale:
-            continue
-        if distinct and abs(lam - distinct[-1]) <= _ZERO_EIG_TOL * scale:
-            continue
-        distinct.append(float(lam))
-    gaps = [abs(a) for a in distinct]
-    gaps += [abs(b - a) for a, b in zip(distinct, distinct[1:])]
-    min_gap = min(gaps) if gaps else 0.0
-    for lam in distinct:
-        y = round(((-lam * t / (2 * math.pi)) % 1.0) * N) % N
-        if y in cells:
-            raise SpectrumResolutionError(
-                f"{n_bits} phase bits cannot separate the spectrum "
-                f"(minimal eigenvalue gap {min_gap:.3e})"
-            )
-        cells[y] = lam
-    return cells
-
-
-def _evolution_operator(H: np.ndarray, t: float, n_bits: int, snap: bool
-                        ) -> tuple[tuple[np.ndarray, np.ndarray], dict[int, float]]:
-    """Eigendecomposition (V, phases) of the simulated e^{-i t H}, and its cells.
-
-    The evolution is V diag(e^{2 pi i phases}) V^dag: phases = -w t / 2 pi,
-    or with snap each nonzero eigenvalue's phase cell y / 2^n_bits.
-    """
-    w, V = np.linalg.eigh(H)
+    w, V = np.linalg.eigh(H)  # ascending eigenvalues
     if np.max(np.abs(w)) * t >= math.pi:
         raise ValueError("t_evolution does not scale all eigenvalues into (-pi, pi)")
-    cells = _spectral_cells(w, t, n_bits)
-    if snap:
-        N = 2**n_bits
-        scale = max(np.max(np.abs(w)), 1.0)
-        phases = np.empty_like(w)
-        for i, lam in enumerate(w):
-            if abs(lam) <= _ZERO_EIG_TOL * scale:
-                phases[i] = 0.0
-            else:
-                y = min((c for c in cells if c), key=lambda c: abs(cells[c] - lam))
-                phases[i] = y / N
-    else:
-        phases = -w * t / (2 * math.pi)
-    return (V, phases), cells
-
-
-def _grid_eigenvalue(y: int, t: float, n_bits: int) -> float:
-    from .statevector import twos_complement
-
-    return -2.0 * math.pi * twos_complement(y, n_bits) / (2**n_bits * t)
-
-
-def _cell_amplitudes(cells: dict[int, float], t: float, n_bits: int, snap: bool,
-                     numerator: float, invert: bool, scale_div: float = 1.0) -> np.ndarray:
-    """Per-cell rotation amplitude: numerator/lambda (invert) or lambda/scale_div."""
     N = 2**n_bits
-    amps = np.zeros(N)
-    for y in range(N):
-        if y == 0:
-            continue
-        if snap:
-            if y not in cells:
-                continue
-            lam = cells[y]
-        else:
-            lam = _grid_eigenvalue(y, t, n_bits)
-        a = numerator / lam if invert else lam / scale_div
-        amps[y] = min(max(a, -1.0), 1.0)
-    return amps
+    tol = _ZERO_EIG_TOL * max(np.max(np.abs(w)), 1.0)
+    nonzero = np.abs(w) > tol
+    lam = w[nonzero]
+    first = np.diff(lam, prepend=-np.inf) > tol
+    distinct = lam[first]
+    cells = np.rint((-distinct * t / (2 * math.pi)) % 1.0 * N).astype(int) % N
+    per_cell = np.bincount(cells, minlength=N)
+    if per_cell[0] or per_cell.max() > 1:
+        gaps = np.abs(np.concatenate([distinct, np.diff(distinct)]))
+        raise SpectrumResolutionError(
+            f"{n_bits} phase bits cannot separate the spectrum "
+            f"(minimal eigenvalue gap {float(gaps.min()):.3e})"
+        )
+    phases = np.zeros_like(w)
+    phases[nonzero] = cells[np.cumsum(first) - 1] / N
+    lam_by_cell = np.zeros(N)
+    lam_by_cell[cells] = distinct
+    return (V, phases), lam_by_cell
 
 
 def _rotate_ancilla(state: StateVector, amps_by_cell: np.ndarray, n_bits: int,
@@ -217,34 +172,27 @@ def _rotate_ancilla(state: StateVector, amps_by_cell: np.ndarray, n_bits: int,
     return StateVector(q, psi.reshape(-1))
 
 
-def _dilation_parts(ext: ExtendedMatrix, cfg: HhlConfig):
-    Hd, k = _padded(ext.dilation)
-    eig, cells = _evolution_operator(Hd, cfg.t_evolution, cfg.n_phase_bits,
-                                     cfg.snap_spectrum)
-    lam_min = min(abs(v) for c, v in cells.items() if c) if len(cells) > 1 else 0.0
-    if lam_min and cfg.c_tilde > lam_min * (1 + 1e-9):
-        raise ValueError(
-            f"c_tilde {cfg.c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
-        )
-    return k, eig, cells
-
-
 def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> StateVector:
     """The solver state: good flag |0> branch carries C~ ||x_mu|| |x_mu>.
 
     Register order: [phase (n_phase_bits), system (dilation, padded), ancilla].
     The x block occupies system coordinates m+n .. m+2n-1.
     """
-    k, eig, cells = _dilation_parts(ext, cfg)
+    Hd, k = _padded(ext.dilation)
     n = cfg.n_phase_bits
+    eig, lam = _phase_cells(Hd, cfg.t_evolution, n)
+    lam_min = float(np.min(np.abs(lam[lam != 0]), initial=np.inf))
+    if cfg.c_tilde > lam_min * (1 + 1e-9):
+        raise ValueError(
+            f"c_tilde {cfg.c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
+        )
     _check_capacity(n + k + 1)
     amps = np.zeros(2 ** (n + k + 1), dtype=complex)
     amps[: 2 ** (k + 1): 2] = prepare_b_state(b, k).amplitudes  # phase 0, ancilla 0
     phase, system = list(range(n)), list(range(n, n + k))
     state = qpe_forward(StateVector(n + k + 1, amps), eig, phase, system)
-    amps = _cell_amplitudes(cells, cfg.t_evolution, n, cfg.snap_spectrum,
-                            numerator=cfg.c_tilde, invert=True)
-    state = _rotate_ancilla(state, amps, n, ancilla=n + k)
+    amps = np.divide(cfg.c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
+    state = _rotate_ancilla(state, np.clip(amps, -1.0, 1.0), n, ancilla=n + k)
     return qpe_inverse(state, eig, phase, system)
 
 
@@ -270,14 +218,11 @@ def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     _check_capacity(n + k + 2)
     Ha, _ = _padded(_multiply_dilation(ext))
     smax = cfg.sigma_max
-    t2 = math.pi / (2.0 * smax) if smax > 0 else 1.0
-    eig2, cells2 = _evolution_operator(Ha, t2, n, cfg.snap_spectrum)
+    eig2, lam2 = _phase_cells(Ha, math.pi / (2.0 * smax), n)
     state = state.tensor(zero_state(1))
     phase, system = list(range(n)), list(range(n, n + k))
     state = qpe_forward(state, eig2, phase, system)
-    amps = _cell_amplitudes(cells2, t2, n, cfg.snap_spectrum,
-                            numerator=0.0, invert=False, scale_div=smax)
-    state = _rotate_ancilla(state, amps, n, ancilla=n + k + 1)
+    state = _rotate_ancilla(state, np.clip(lam2 / smax, -1.0, 1.0), n, ancilla=n + k + 1)
     return qpe_inverse(state, eig2, phase, system)
 
 
@@ -313,7 +258,7 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     return StateVector(psi.num_qubits + 2, out.reshape(-1))
 
 
-def good_flag_qubits(state: StateVector, cfg: HhlConfig, kind: str) -> tuple[int, ...]:
+def good_flag_qubits(state: StateVector, kind: str) -> tuple[int, ...]:
     """Flag qubits whose all-zeros branch is the 'good' branch."""
     if kind == "solution":
         return (state.num_qubits - 1,)
@@ -331,19 +276,19 @@ def solution_block(state: StateVector, ext: ExtendedMatrix, cfg: HhlConfig) -> n
 
 
 def _estimate(theta_state: StateVector, flag_qubits: tuple[int, ...], epsilon_int: float,
-              rng: np.random.Generator, repeats: int) -> tuple[float, int, int]:
-    """(cos theta~, n_bits, queries) from amplitude estimation on the given state."""
+              rng: np.random.Generator, repeats: int) -> tuple[float, int]:
+    """(cos theta~, queries) from amplitude estimation on the given state."""
     prep = StatePrep.from_state(theta_state.amplitudes, flag_qubits)
     n_ae = ae_bits_for_accuracy(epsilon_int)
     est = estimate_theta(prep, n_ae, rng, repeats=repeats)
-    return math.cos(est.theta_tilde), n_ae, ae_query_count(n_ae, repeats)
+    return math.cos(est.theta_tilde), ae_query_count(n_ae, repeats)
 
 
 def estimate_solution_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
                            epsilon: float, rng: np.random.Generator,
                            repeats: int = 1) -> float:
     """||x_mu|| to within epsilon * ||b||, via amplitude estimation on the flag."""
-    value, _, _ = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
+    value, _ = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
     return value
 
 
@@ -351,17 +296,17 @@ def _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution=Non
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     state = hhl_solution_state(ext, b, cfg) if solution is None else solution
-    flags = good_flag_qubits(state, cfg, "solution")
-    cos_t, n_ae, queries = _estimate(state, flags, cfg.c_tilde * epsilon, rng, repeats)
+    flags = good_flag_qubits(state, "solution")
+    cos_t, queries = _estimate(state, flags, cfg.c_tilde * epsilon, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
-    return cos_t / cfg.c_tilde * b_norm, n_ae, queries
+    return cos_t / cfg.c_tilde * b_norm, queries
 
 
 def estimate_residual_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
                            epsilon: float, rng: np.random.Generator,
                            repeats: int = 1) -> float:
     """||A x_mu - b|| to within epsilon * ||b||."""
-    value, _, _ = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
+    value, _ = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
     return value
 
 
@@ -369,12 +314,12 @@ def _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution=Non
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     state = residual_state(ext, b, cfg, solution)
-    flags = good_flag_qubits(state, cfg, "residual")
+    flags = good_flag_qubits(state, "residual")
     C = cfg.c_tilde / cfg.sigma_max
     t = min(1.0, C)
-    cos_t, n_ae, queries = _estimate(state, flags, epsilon * t / 2.0, rng, repeats)
+    cos_t, queries = _estimate(state, flags, epsilon * t / 2.0, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
-    return 2.0 * cos_t / t * b_norm, n_ae, queries
+    return 2.0 * cos_t / t * b_norm, queries
 
 
 def estimate_norms(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig, epsilon: float,
@@ -384,9 +329,7 @@ def estimate_norms(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig, epsilon: 
     The solver state is built once and shared by the two estimators.
     """
     solution = hhl_solution_state(ext, b, cfg)
-    sol, _, q1 = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats,
-                                             solution)
-    res, _, q2 = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats,
-                                             solution)
+    sol, q1 = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution)
+    res, q2 = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution)
     return NormEstimates(solution_norm=sol, residual_norm=res, epsilon=epsilon,
                          queries_used=q1 + q2)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .hhl import (
     HhlConfig,
-    _evolution_operator,
     _padded,
+    _phase_cells,
     _residual_norm_with_queries,
     estimate_norms,
 )
@@ -140,9 +140,8 @@ def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
     exception reaches the caller unchanged.
     """
     ext = build_extended(problem.A, mu, svd)
-    cfg = HhlConfig.for_extended(ext, n_phase_bits=n_phase_bits)
     try:
-        return step(ext, cfg)
+        return step(ext, HhlConfig.for_extended(ext, n_phase_bits=n_phase_bits))
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{exc} (at mu = {mu:g})") from exc
 
@@ -204,7 +203,7 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
             stacklevel=2,
         )
     t = math.pi / (2.0 * lam_max)
-    eig, _ = _evolution_operator(Hd, t, n_bits, snap=True)
+    eig, _ = _phase_cells(Hd, t, n_bits)
     amps = np.zeros(2 ** (n_bits + 2 * k), dtype=complex)
     amps[: 4**k] = (Hd / fro).reshape(-1)
     state = StateVector(n_bits + 2 * k, amps)
@@ -249,9 +248,9 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
     criterion = np.empty(grid.p)
     queries = shots
     for j, mu in enumerate(grid.mus):
-        res, _, q = _at_mu(problem, svd, float(mu), n_phase_bits,
-                           lambda ext, cfg: _residual_norm_with_queries(
-                               ext, problem.b, cfg, epsilon, rng, repeats))
+        res, q = _at_mu(problem, svd, float(mu), n_phase_bits,
+                        lambda ext, cfg: _residual_norm_with_queries(
+                            ext, problem.b, cfg, epsilon, rng, repeats))
         criterion[j] = gcv_lowrank(sigma_est, res**2, problem.m, problem.n, float(mu))
         queries += q
     result = durr_hoyer_min(criterion, rng, mus=grid.mus)

@@ -53,9 +53,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(
             self.num_qubits + other.num_qubits,
@@ -155,14 +152,6 @@ def hamiltonian_evolution(H_mat: np.ndarray, t: float) -> UnitaryOp:
         raise ValueError("Hamiltonian is not Hermitian")
     w, V = np.linalg.eigh(H_mat)
     return UnitaryOp((V * np.exp(-1j * w * t)) @ V.conj().T)
-
-
-def _successive_powers(op: UnitaryOp, n_bits: int) -> list[np.ndarray]:
-    """[op^(2^0), ..., op^(2^(n_bits-1))] by repeated squaring."""
-    pows = [op.matrix]
-    for _ in range(n_bits - 1):
-        pows.append(pows[-1] @ pows[-1])
-    return pows
 
 
 def _fourier(block: np.ndarray, inverse: bool) -> np.ndarray:
@@ -266,12 +255,10 @@ def _ladder_forward(state: StateVector, op: UnitaryOp,
                     phase_targets: list[int], system_targets: list[int]) -> StateVector:
     """qpe_forward simulated gate by gate with controlled powers of a dense op."""
     n = len(phase_targets)
-    pows = _successive_powers(op, n)
     for j in phase_targets:
         state = apply(state, H, [j])
     for j, qubit in enumerate(phase_targets):
-        c_op = UnitaryOp(_block_controlled(pows[n - 1 - j]))
-        state = apply(state, c_op, [qubit] + list(system_targets))
+        state = apply(state, controlled(op, 2 ** (n - 1 - j)), [qubit, *system_targets])
     return _apply_qft_fast(state, list(phase_targets), inverse=True)
 
 
@@ -279,21 +266,13 @@ def _ladder_inverse(state: StateVector, op: UnitaryOp,
                     phase_targets: list[int], system_targets: list[int]) -> StateVector:
     """Exact inverse of _ladder_forward; the tests' reference for qpe_inverse."""
     n = len(phase_targets)
-    pows = _successive_powers(op, n)
+    dagger = UnitaryOp(op.matrix.conj().T)
     state = _apply_qft_fast(state, list(phase_targets), inverse=False)
     for j, qubit in reversed(list(enumerate(phase_targets))):
-        c_op = UnitaryOp(_block_controlled(pows[n - 1 - j].conj().T))
-        state = apply(state, c_op, [qubit] + list(system_targets))
+        state = apply(state, controlled(dagger, 2 ** (n - 1 - j)), [qubit, *system_targets])
     for j in phase_targets:
         state = apply(state, H, [j])
     return state
-
-
-def _block_controlled(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    out = np.eye(2 * d, dtype=complex)
-    out[d:, d:] = mat
-    return out
 
 
 def phase_estimation(op: UnitaryOp, input_state: StateVector, n_bits: int) -> StateVector:
@@ -327,9 +306,7 @@ def measure(state: StateVector, qubits: list[int],
     if len(set(qubits)) != len(qubits) or any(not 0 <= i < q for i in qubits):
         raise ValueError(f"invalid measurement qubits {qubits}")
     psi = state.amplitudes.reshape((2,) * q)
-    # marginal over the measured qubits, in their listed order
-    moved = np.moveaxis(np.abs(psi) ** 2, qubits, range(len(qubits)))
-    marginal = moved.reshape(2 ** len(qubits), -1).sum(axis=1)
+    marginal = register_distribution(state, qubits)
     total = marginal.sum()
     outcome = int(rng.choice(2 ** len(qubits), p=marginal / total))
     bits = tuple((outcome >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits)))

@@ -114,7 +114,7 @@ def test_04_amplitude_estimation_bound():
 
 
 def flag_zero_mass(state, cfg):
-    flags = good_flag_qubits(state, cfg, "solution")
+    flags = good_flag_qubits(state, "solution")
     probs = np.abs(state.amplitudes) ** 2
     idx = np.arange(probs.size)
     mask = np.ones(probs.size, dtype=bool)

@@ -27,7 +27,7 @@ from conftest import gate_level_qpe, random_problem
 
 
 def flag_zero_mass(state, cfg, kind):
-    flags = good_flag_qubits(state, cfg, kind)
+    flags = good_flag_qubits(state, kind)
     probs = np.abs(state.amplitudes) ** 2
     idx = np.arange(probs.size)
     mask = np.ones(probs.size, dtype=bool)
@@ -112,14 +112,49 @@ class TestSolutionState:
         with pytest.raises(ValueError, match="c_tilde"):
             hhl_solution_state(ext, b, cfg)
 
-    def test_unsnapped_evolution_close(self, worked_problem):
-        # simulating the unmodified evolution spreads phase mass over cells;
-        # the flag identity then only holds approximately
-        ext, b, _ = worked_problem
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=8, snap_spectrum=False)
-        st = hhl_solution_state(ext, b, cfg)
-        mass = flag_zero_mass(st, cfg, "solution")
-        assert mass == pytest.approx(cfg.c_tilde**2 * 0.64, rel=0.15)
+
+class TestPhaseCells:
+    """The snapped-cell rules on hand-built spectra."""
+
+    def test_degenerate_spectrum_shares_one_cell(self):
+        ext = build_extended(np.eye(3), 0.5)
+        cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
+        Hd, _ = hhl._padded(ext.dilation)
+        (_, phases), lam = hhl._phase_cells(Hd, cfg.t_evolution, 4)
+        w = np.linalg.eigvalsh(Hd)
+        top = math.sqrt(1.25)
+        # +-sqrt(1 + mu^2), three times each, own one cell per sign
+        assert np.count_nonzero(lam) == 2
+        assert np.allclose(np.sort(lam[lam != 0]), [-top, top], atol=1e-12)
+        for sign in (-1, 1):
+            cell = phases[np.abs(w - sign * top) < 1e-9]
+            assert cell.size == 3 and np.all(cell == cell[0]) and cell[0] != 0
+        b = np.array([1.0, -2.0, 0.5])
+        blk = solution_block(hhl_solution_state(ext, b, cfg), ext, cfg)
+        assert np.allclose(blk, cfg.c_tilde * 0.8 * b / np.linalg.norm(b), atol=1e-12)
+
+    def test_zero_eigenvalues_get_phase_zero(self):
+        ext = build_extended(np.eye(3), 0.5)
+        Hd, _ = hhl._padded(ext.dilation)
+        (_, phases), lam = hhl._phase_cells(Hd, math.pi / (2 * math.sqrt(1.25)), 4)
+        zero = np.abs(np.linalg.eigvalsh(Hd)) < 1e-12
+        assert np.count_nonzero(zero) == Hd.shape[0] - 6
+        assert np.all(phases[zero] == 0.0) and np.all(phases[~zero] != 0.0)
+        assert lam[0] == 0.0
+
+    def test_small_sigma_in_cell_zero_reports_gap(self):
+        # the solver separates sqrt(sigma^2 + mu^2); the A x stage's +-1e-4
+        # rounds into cell 0
+        ext = build_extended(np.diag([1.0, 1e-4]), 0.5)
+        cfg = HhlConfig.for_extended(ext, n_phase_bits=6)
+        b = np.array([1.0, 1.0])
+        solution = hhl_solution_state(ext, b, cfg)
+        with pytest.raises(SpectrumResolutionError, match="gap"):
+            apply_A_state(ext, b, cfg, solution)
+        # a dilation's +-sigma pair also collides; a lone eigenvalue in cell 0
+        # is refused as well
+        with pytest.raises(SpectrumResolutionError, match="gap"):
+            hhl._phase_cells(np.diag([1.0, 1e-4]), math.pi / 2, 6)
 
 
 class TestGateLevelReference:
@@ -127,14 +162,13 @@ class TestGateLevelReference:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
-           rank_deficient=st.booleans(), real=st.booleans(), snap=st.booleans(),
-           n_bits=st.integers(1, 8))
-    def test_states_match(self, seed, m, n, rank_deficient, real, snap, n_bits):
+           rank_deficient=st.booleans(), real=st.booleans(), n_bits=st.integers(1, 8))
+    def test_states_match(self, seed, m, n, rank_deficient, real, n_bits):
         rng = np.random.default_rng(seed)
         prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
         A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
         ext = build_extended(A, float(rng.uniform(0.2, 1.5)))
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=n_bits, snap_spectrum=snap)
+        cfg = HhlConfig.for_extended(ext, n_phase_bits=n_bits)
 
         def states():
             sol = hhl_solution_state(ext, b, cfg)

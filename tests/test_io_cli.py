@@ -202,6 +202,18 @@ class TestCli:
         assert code == 1
         assert "rhs" in capsys.readouterr().err
 
+    def test_zero_matrix_typed_error(self, tmp_path, capsys):
+        save_matrix(tmp_path / "Z.mtx", np.zeros((3, 2)))
+        save_vector(tmp_path / "b.mtx", np.array([1.0, 2.0, 3.0]))
+        for method in ("lcurve", "gcv"):
+            code = main(["--method", method, "--matrix-file", str(tmp_path / "Z.mtx"),
+                         "--rhs-file", str(tmp_path / "b.mtx"), "--phase-bits", "8",
+                         "--p", "4"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error [ValueError]: A is the zero matrix")
+            assert err.rstrip().endswith("(at mu = 0.9)")
+
     def test_report_lines_are_json_records(self, tmp_path):
         out = tmp_path / "report.jsonl"
         code = main(["--method", "classical-lcurve", "--problem",
