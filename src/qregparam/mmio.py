@@ -2,7 +2,8 @@
 
 Hand-rolled rather than delegated to scipy so that malformed input is reported
 with its line number, and duplicate coordinate entries are rejected instead of
-being summed.
+being summed.  A symmetric or hermitian file must be square, and there (i, j)
+and its mirror (j, i) are one entry.
 """
 from __future__ import annotations
 
@@ -57,14 +58,19 @@ def load_matrix(path) -> np.ndarray:
         raise MatrixMarketError(f"line {len(lines)}: missing size line")
     size_lineno, size_line = body[0]
     sizes = size_line.split()
+    want = 3 if fmt == "coordinate" else 2
+    if len(sizes) != want:
+        _fail(size_lineno, f"{fmt} size line needs {want} integers, got {size_line!r}")
+    try:
+        dims = [int(s) for s in sizes]
+    except ValueError:
+        _fail(size_lineno, f"cannot parse size line {size_line!r}")
+    m, n = dims[:2]
+    if symmetry != "general" and m != n:
+        _fail(size_lineno, f"a {symmetry} matrix must be square, size line gives {m}x{n}")
 
     if fmt == "coordinate":
-        if len(sizes) != 3:
-            _fail(size_lineno, f"coordinate size line needs 3 integers, got {size_line!r}")
-        try:
-            m, n, nnz = (int(s) for s in sizes)
-        except ValueError:
-            _fail(size_lineno, f"cannot parse size line {size_line!r}")
+        nnz = dims[2]
         M = np.zeros((m, n), dtype=complex)
         seen = {}
         entries = body[1:]
@@ -81,21 +87,19 @@ def load_matrix(path) -> np.ndarray:
                 _fail(lineno, f"cannot parse indices from {ln!r}")
             if not (1 <= i <= m and 1 <= j <= n):
                 _fail(lineno, f"index ({i}, {j}) out of bounds for {m}x{n} matrix")
-            if (i, j) in seen:
-                _fail(lineno, f"duplicate entry ({i}, {j}), first seen on line {seen[i, j]}")
-            seen[i, j] = lineno
+            # a symmetric or hermitian file stores (i, j) and (j, i) as one entry
+            key = (i, j) if symmetry == "general" else (max(i, j), min(i, j))
+            if key in seen:
+                first, (fi, fj) = seen[key]
+                also = "" if (fi, fj) == (i, j) else f" as its mirror ({fi}, {fj})"
+                _fail(lineno, f"duplicate entry ({i}, {j}), first seen on line {first}{also}")
+            seen[key] = (lineno, (i, j))
             v = _parse_value(tokens[2:], field, lineno)
             M[i - 1, j - 1] = v
             if symmetry != "general" and i != j:
                 M[j - 1, i - 1] = v.conjugate() if symmetry == "hermitian" else v
         return M
 
-    if len(sizes) != 2:
-        _fail(size_lineno, f"array size line needs 2 integers, got {size_line!r}")
-    try:
-        m, n = (int(s) for s in sizes)
-    except ValueError:
-        _fail(size_lineno, f"cannot parse size line {size_line!r}")
     entries = body[1:]
     expected = m * n if symmetry == "general" else m * (m + 1) // 2
     if len(entries) != expected:

@@ -9,6 +9,11 @@ the amplitude-estimation readout for each branch, and then run the minimum
 finder on the resulting criterion values.  Per the desk-scale concurrency
 model, the p branches are simulated independently and combined
 deterministically rather than as one tensor state.
+
+Before its branches, the GCV pipeline samples the singular values of A by
+phase estimation on the vectorized dilation.  Its register distribution is a
+set of point masses read off the snapped spectrum in closed form (see
+principal_singular_values), so that stage builds no state vector.
 """
 from __future__ import annotations
 
@@ -36,12 +41,7 @@ from .linalg import (
     gcv_value,
     tikhonov_solve,
 )
-from .statevector import (
-    StateVector,
-    qpe_forward,
-    register_distribution,
-    twos_complement,
-)
+from .statevector import _check_capacity, twos_complement
 
 
 @dataclass
@@ -177,19 +177,30 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
                               eigvals: np.ndarray | None = None) -> np.ndarray:
     """Singular values of A recovered by QPE sampling on the vectorized dilation.
 
-    Prepares |A~> proportional to the matrix entries, runs phase estimation
-    with e^{-i t A~} on the row register, samples the phase register, merges
-    outcomes with equal magnitude, and converts sigma~ -> sqrt(sigma~^2 - mu^2).
-    eigvals is np.linalg.eigvalsh of the padded dilation when the caller
-    already has it.
+    The circuit prepares |A~> proportional to the entries of the padded
+    dilation H, runs phase estimation with e^{-i t H} on the row register,
+    samples the phase register, merges outcomes with equal magnitude, and
+    converts sigma~ -> sqrt(sigma~^2 - mu^2).  eigvals is
+    np.linalg.eigvalsh of the padded dilation when the caller already has it.
+
+    The register distribution is evaluated in closed form, without the
+    2^(n_bits + 2k)-amplitude state.  With H = sum_l lambda_l v_l v_l^dag,
+    the input is |A~> = sum_l lambda_l |v_l>|conj(v_l)> / ||H||_F, and the
+    terms are orthogonal because the v_l are orthonormal.  The snapped phase
+    estimation is exact: it maps |v_l>|conj(v_l)> to
+    |cell of lambda_l>|v_l>|conj(v_l)>.  So the register reads cell y with
+    probability sum over the lambda_l in y of lambda_l^2 / ||H||_F^2, which
+    is (eigenvalues in y) * lambda_y^2, normalized, since a cell's
+    eigenvalues agree within the zero tolerance of _phase_cells.  Zero
+    eigenvalues sit in cell 0 with weight 0.  The register must still fit
+    the simulator: CapacityError when n_bits + 2k exceeds MAX_QUBITS.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     Hd, k = _padded(ext.dilation)
-    fro = np.linalg.norm(Hd)
-    if fro == 0:
+    if np.linalg.norm(Hd) == 0:
         raise ValueError("zero matrix has no singular values to sample")
     w = np.linalg.eigvalsh(Hd) if eigvals is None else eigvals
     lam_max = float(np.max(np.abs(w)))
@@ -203,15 +214,12 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
             stacklevel=2,
         )
     t = math.pi / (2.0 * lam_max)
-    eig, _ = _phase_cells(Hd, t, n_bits)
-    amps = np.zeros(2 ** (n_bits + 2 * k), dtype=complex)
-    amps[: 4**k] = (Hd / fro).reshape(-1)
-    state = StateVector(n_bits + 2 * k, amps)
-    # QPE couples the phase register to the row register (the high k system qubits)
-    out = qpe_forward(state, eig, list(range(n_bits)), list(range(n_bits, n_bits + k)))
-    probs = register_distribution(out, list(range(n_bits)))
+    (_, phases), lam_by_cell = _phase_cells(Hd, t, n_bits)
+    _check_capacity(n_bits + 2 * k)
+    N = 2**n_bits
+    probs = np.bincount(np.rint(phases * N).astype(int), minlength=N) * lam_by_cell**2
     probs = probs / probs.sum()
-    outcomes = rng.choice(2**n_bits, size=shots, p=probs)
+    outcomes = rng.choice(N, size=shots, p=probs)
     counts: dict[float, int] = {}
     for y in outcomes:
         mag = abs(twos_complement(int(y), n_bits))

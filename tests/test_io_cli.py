@@ -96,6 +96,39 @@ class TestMatrixMarket:
         M = load_matrix(path)
         assert M[1, 0] == 2j and M[0, 1] == -2j
 
+    @pytest.mark.parametrize("body", ["array real symmetric\n3 2\n1\n2\n3\n",
+                                      "coordinate real symmetric\n3 2 1\n3 1 5.0\n"],
+                             ids=["array", "coordinate"])
+    def test_symmetric_must_be_square(self, tmp_path, body):
+        path = tmp_path / "s.mtx"
+        path.write_text("%%MatrixMarket matrix " + body)
+        with pytest.raises(MatrixMarketError, match=r"line 2: a symmetric matrix must be "
+                                                    r"square, size line gives 3x2"):
+            load_matrix(path)
+
+    def test_non_square_symmetric_through_cli(self, tmp_path, capsys):
+        (tmp_path / "A.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 5.0\n")
+        save_vector(tmp_path / "b.mtx", np.array([1.0, 2.0, 3.0]))
+        code = main(["--method", "classical-gcv", "--matrix-file", str(tmp_path / "A.mtx"),
+                     "--rhs-file", str(tmp_path / "b.mtx")])
+        assert code == 1
+        assert "error [MatrixMarketError]: line 2: a symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symmetry,values", [("real symmetric", ("5.0", "7.0")),
+                                                 ("complex hermitian", ("5 1", "5 -1"))],
+                             ids=["symmetric", "hermitian"])
+    def test_mirrored_duplicate_names_both_lines(self, tmp_path, symmetry, values):
+        path = tmp_path / "dup.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate {symmetry}\n"
+            f"2 2 2\n2 1 {values[0]}\n1 2 {values[1]}\n"
+        )
+        with pytest.raises(MatrixMarketError,
+                           match=r"line 4: duplicate entry \(1, 2\), first seen on "
+                                 r"line 3 as its mirror \(2, 1\)"):
+            load_matrix(path)
+
     def test_array_format_column_major(self, tmp_path):
         path = tmp_path / "a.mtx"
         path.write_text(

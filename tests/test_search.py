@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qregparam import (
+    CapacityError,
     HhlConfig,
     ParameterGrid,
     SpectrumResolutionError,
@@ -23,8 +25,41 @@ from qregparam import (
 )
 from qregparam import hhl
 from qregparam.search import durr_hoyer_budget, principal_singular_values
+from qregparam.statevector import (
+    MAX_QUBITS,
+    StateVector,
+    qpe_forward,
+    register_distribution,
+)
 
 from conftest import random_problem
+
+
+def statevector_register_distribution(ext, n_bits):
+    """Reference: the phase-register distribution of principal_singular_values
+    from the full 2^(n_bits + 2k)-amplitude QPE state on the vectorized dilation."""
+    Hd, k = hhl._padded(ext.dilation)
+    t = math.pi / (2.0 * np.max(np.abs(np.linalg.eigvalsh(Hd))))
+    eig, _ = hhl._phase_cells(Hd, t, n_bits)
+    amps = np.zeros(2 ** (n_bits + 2 * k), dtype=complex)
+    amps[: 4**k] = (Hd / np.linalg.norm(Hd)).reshape(-1)
+    # QPE couples the phase register to the row register (the high k system qubits)
+    out = qpe_forward(StateVector(n_bits + 2 * k, amps), eig, list(range(n_bits)),
+                      list(range(n_bits, n_bits + k)))
+    probs = register_distribution(out, list(range(n_bits)))
+    return probs / probs.sum()
+
+
+class RecordingRng:
+    """A Generator stand-in that keeps the distribution of its last choice call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.p = None
+
+    def choice(self, a, size=None, p=None):
+        self.p = p
+        return self.rng.choice(a, size=size, p=p)
 
 
 class TestParameterGrid:
@@ -187,6 +222,37 @@ class TestPrincipalSingularValues:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 principal_singular_values(ext, 3, 6, 200, np.random.default_rng(0))
+
+
+class TestClosedFormSampling:
+    """principal_singular_values samples the statevector QPE distribution."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+           rank_deficient=st.booleans(), real=st.booleans(), n_bits=st.integers(2, 10))
+    def test_matches_statevector(self, seed, m, n, rank_deficient, real, n_bits):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
+        ext = build_extended(prob.A.real if real else prob.A, float(rng.uniform(0.2, 1.5)))
+        recorder = RecordingRng(seed)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                principal_singular_values(ext, 1, n_bits, 20, recorder)
+        except SpectrumResolutionError:
+            with pytest.raises(SpectrumResolutionError):
+                statevector_register_distribution(ext, n_bits)
+            return
+        ref = statevector_register_distribution(ext, n_bits)
+        assert np.max(np.abs(recorder.p - ref)) <= 1e-12
+
+    def test_register_past_capacity_raises(self):
+        ext = build_extended(np.diag([1.0, 0.5]), 0.5)  # padded dilation on 2k = 6 qubits
+        sig = principal_singular_values(ext, 2, MAX_QUBITS - 6, 100,
+                                        np.random.default_rng(0))
+        assert sig == pytest.approx([1.0, 0.5], abs=1e-4)
+        with pytest.raises(CapacityError, match=f"{MAX_QUBITS + 1} qubits"):
+            principal_singular_values(ext, 2, MAX_QUBITS - 5, 100, np.random.default_rng(0))
 
 
 class TestGcvPipeline:
