@@ -24,12 +24,7 @@ from .statevector import (
     phase_estimation,
     qft,
 )
-from .amplitude import (
-    AmplitudeEstimate,
-    StatePrep,
-    estimate_theta,
-    grover_operator,
-)
+from .amplitude import estimate_theta
 from .hhl import (
     HhlConfig,
     NormEstimates,

@@ -1,15 +1,19 @@
-"""Amplitude estimation: Grover operator and folded angle readout.
+"""Amplitude estimation on the angle of a good branch.
 
-A state preparation splits |0...0> into cos(theta) |good> + sin(theta) |bad>,
-where "good" means every flag qubit reads 0.  The Grover operator rotates the
+A state splits as cos(theta) |good> + sin(theta) |bad>, where "good" means
+every flag qubit reads 0; the hhl estimators name the flags of the states
+they build, and good_branch_angle turns a state and its flags into theta.
+Everything else here works on theta alone.  The Grover operator rotates the
 plane spanned by the two branches by 2*theta, so phase estimation on it reads
-theta off the phase register.  Register values are folded through two's
-complement so both +-theta branches decode to the same cos(theta).
+theta off the phase register; its register distribution is the closed-form
+Fejer kernel of theta.  Register values are folded through two's complement
+so both +-theta branches decode to the same cos(theta).  grover_operator and
+estimate_theta_full_circuit simulate the circuit itself and are the reference
+for that closed form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,71 +27,21 @@ from .statevector import (
 )
 
 
-@dataclass
-class StatePrep:
-    """A prepared state plus the flag qubits that mark its good branch."""
-
-    num_qubits: int
-    flag_qubits: tuple[int, ...]
-    state: np.ndarray
-
-    def __post_init__(self):
-        self.flag_qubits = tuple(self.flag_qubits)
-        self.state = np.asarray(self.state, dtype=complex).ravel()
-        if self.state.size != 2**self.num_qubits:
-            raise ValueError("state length does not match num_qubits")
-        if abs(np.linalg.norm(self.state) - 1.0) > 1e-8:
-            raise ValueError("prepared state is not normalized")
-        if not self.flag_qubits or any(
-            not 0 <= f < self.num_qubits for f in self.flag_qubits
-        ):
-            raise ValueError(f"invalid flag qubits {self.flag_qubits}")
-
-    @classmethod
-    def from_state(cls, state: np.ndarray, flag_qubits: Sequence[int]) -> "StatePrep":
-        state = np.asarray(state, dtype=complex).ravel()
-        k = state.size.bit_length() - 1
-        return cls(k, tuple(flag_qubits), state)
-
-    def good_mask(self) -> np.ndarray:
-        """Boolean mask over basis states where every flag qubit is 0."""
-        idx = np.arange(2**self.num_qubits)
-        mask = np.ones_like(idx, dtype=bool)
-        for f in self.flag_qubits:
-            shift = self.num_qubits - 1 - f
-            mask &= (idx >> shift) & 1 == 0
-        return mask
-
-    @property
-    def theta(self) -> float:
-        """Rotation angle in [0, pi/2] with cos(theta) the good-branch amplitude."""
-        f = len(self.flag_qubits)
-        psi = np.moveaxis(self.state.reshape((2,) * self.num_qubits),
-                          self.flag_qubits, range(f)).reshape(2**f, -1)
-        # row 0: every flag qubit reads 0
-        return math.atan2(np.linalg.norm(psi[1:]), np.linalg.norm(psi[0]))
+def good_branch_angle(amplitudes: np.ndarray, flag_qubits: Sequence[int]) -> float:
+    """Angle in [0, pi/2] whose cosine is the norm of the all-flags-zero branch."""
+    f = len(flag_qubits)
+    psi = np.moveaxis(amplitudes.reshape((2,) * (amplitudes.size.bit_length() - 1)),
+                      flag_qubits, range(f)).reshape(2**f, -1)
+    # row 0: every flag qubit reads 0
+    return math.atan2(np.linalg.norm(psi[1:]), np.linalg.norm(psi[0]))
 
 
-@dataclass
-class AmplitudeEstimate:
-    """Folded QPE readout of the rotation angle."""
-
-    theta_tilde: float
-    n_bits: int
-    raw_register: int
-    probability_estimate: float = field(init=False)
-
-    def __post_init__(self):
-        self.probability_estimate = math.sin(self.theta_tilde) ** 2
-
-
-def grover_operator(prep: StatePrep) -> UnitaryOp:
-    """G = (2|phi><phi| - I) * M with M = -1 on every non-good basis state."""
-    phi = prep.state
-    d = phi.size
-    refl = 2.0 * np.outer(phi, phi.conj()) - np.eye(d)
-    signs = np.where(prep.good_mask(), 1.0, -1.0)
-    return UnitaryOp(refl * signs[np.newaxis, :])
+def grover_operator(amplitudes: np.ndarray, flag_qubits: Sequence[int]) -> UnitaryOp:
+    """G = (2|phi><phi| - I) * M with M = -1 where some flag qubit reads 1."""
+    signs = np.full((2,) * (amplitudes.size.bit_length() - 1), -1.0)
+    signs[tuple(0 if q in flag_qubits else slice(None) for q in range(signs.ndim))] = 1.0
+    refl = 2.0 * np.outer(amplitudes, amplitudes.conj()) - np.eye(amplitudes.size)
+    return UnitaryOp(refl * signs.ravel())
 
 
 def fold_register(y: int, n_bits: int) -> float:
@@ -132,33 +86,29 @@ def qpe_on_grover_distribution(theta: float, n_bits: int) -> np.ndarray:
     return 0.5 * (minus + np.roll(minus[::-1], 1))
 
 
-def estimate_theta(prep: StatePrep, n_bits: int, rng: np.random.Generator,
-                   repeats: int = 1) -> AmplitudeEstimate:
-    """QPE on the Grover operator, measured and folded.
+def estimate_theta(theta: float, n_bits: int, rng: np.random.Generator,
+                   repeats: int = 1) -> float:
+    """theta~: QPE on the Grover operator at angle theta, measured and folded.
 
-    repeats > 1 (odd) reruns the estimate and reports the median theta_tilde.
+    repeats > 1 (odd) reruns the estimate and reports the median theta~.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError("repeats must be odd and >= 1")
-    probs = qpe_on_grover_distribution(prep.theta, n_bits)
+    probs = qpe_on_grover_distribution(theta, n_bits)
     outcomes = rng.choice(2**n_bits, size=repeats, p=probs / probs.sum())
-    folded = sorted((fold_register(int(y), n_bits), int(y)) for y in outcomes)
-    theta_tilde, raw = folded[repeats // 2]
-    return AmplitudeEstimate(theta_tilde=theta_tilde, n_bits=n_bits, raw_register=raw)
+    return sorted(fold_register(int(y), n_bits) for y in outcomes)[repeats // 2]
 
 
-def estimate_theta_full_circuit(prep: StatePrep, n_bits: int,
-                                rng: np.random.Generator) -> AmplitudeEstimate:
+def estimate_theta_full_circuit(amplitudes: np.ndarray, flag_qubits: Sequence[int],
+                                n_bits: int, rng: np.random.Generator) -> float:
     """Same contract as estimate_theta but simulating the full Grover operator."""
-    G = grover_operator(prep)
-    inp = StateVector(prep.num_qubits, prep.state)
-    out = phase_estimation(G, inp, n_bits)
+    G = grover_operator(amplitudes, flag_qubits)
+    out = phase_estimation(G, StateVector(amplitudes.size.bit_length() - 1, amplitudes),
+                           n_bits)
     bits, _ = measure(out, list(range(n_bits)), rng)
-    y = int("".join(map(str, bits)), 2)
-    return AmplitudeEstimate(theta_tilde=fold_register(y, n_bits), n_bits=n_bits,
-                             raw_register=y)
+    return fold_register(int("".join(map(str, bits)), 2), n_bits)
 
 
 def ae_bits_for_accuracy(epsilon: float) -> int:

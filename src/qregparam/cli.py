@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -54,8 +55,11 @@ class RunConfig:
             raise ValueError("rho must lie in (0, 1)")
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        for flag, value in (("--epsilon", self.epsilon), ("--mu0", self.mu0)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{flag} must be finite and > 0, got {value}")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"--noise must be finite and >= 0, got {self.noise}")
         if self.n_phase_bits < 1:
             raise ValueError(f"--phase-bits must be >= 1, got {self.n_phase_bits}")
         if self.repeats < 1 or self.repeats % 2 == 0:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitude import (
-    StatePrep,
     ae_bits_for_accuracy,
     ae_query_count,
     estimate_theta,
+    good_branch_angle,
 )
 from .linalg import ExtendedMatrix
 from .statevector import (
@@ -87,7 +87,6 @@ class NormEstimates:
 
     solution_norm: float
     residual_norm: float
-    epsilon: float
     queries_used: int
 
 
@@ -230,8 +229,10 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
                    solution: StateVector | None = None) -> StateVector:
     """All-ancillas-zero component equals (t/2)(||x_mu|| A|x_mu> - |b>), b normalized.
 
-    Register order: [phase, system, hhl ancilla, multiply ancilla, selector,
-    rotation qubit]; the good flag is the four trailing qubits.
+    Register order: [hhl ancilla, multiply ancilla, selector, rotation qubit,
+    phase, system]; the good flag is the four leading qubits.  With the flags
+    in front, the good branch is the first 2^(n+k) amplitudes, and amplitude
+    estimation reads its angle without a permuted copy of the state.
     solution is hhl_solution_state(ext, b, cfg) when the caller already has it.
     """
     psi = apply_A_state(ext, b, cfg, solution)
@@ -244,27 +245,20 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     # radicand corrected to 1 - t^2 C^-2 for unitarity.  Step 3: Hadamard on
     # the selector.  Together: selector s, rotation qubit r carry
     # (col0[r] psi - col1[r] b) for s = 0 and (col0[r] psi + col1[r] b) for s = 1.
+    # psi's two ancillas (its trailing qubits) become the two leading rows.
     C = cfg.c_tilde / cfg.sigma_max
     t = min(1.0, C)
     a0, a1 = t / C, t
     col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
     col1 = np.array([a1, math.sqrt(1 - a1**2)]) / 2
-    out = np.empty((psi.amplitudes.size, 2, 2), dtype=complex)
-    out[:, 0, :] = np.outer(psi.amplitudes, col0)
-    out[:, 1, :] = out[:, 0, :]
-    b_terms = np.outer(prepare_b_state(b, k).amplitudes, col1)
-    out[: 2**k * 4:4, 0, :] -= b_terms
-    out[: 2**k * 4:4, 1, :] += b_terms
+    ancillas_first = psi.amplitudes.reshape(-1, 4).T
+    out = np.empty((4, 2, 2, ancillas_first.shape[1]), dtype=complex)
+    np.multiply(ancillas_first[:, np.newaxis, :], col0[:, np.newaxis], out=out[:, 0])
+    out[:, 1] = out[:, 0]
+    b_terms = np.outer(col1, prepare_b_state(b, k).amplitudes)
+    out[0, 0, :, : 2**k] -= b_terms
+    out[0, 1, :, : 2**k] += b_terms
     return StateVector(psi.num_qubits + 2, out.reshape(-1))
-
-
-def good_flag_qubits(state: StateVector, kind: str) -> tuple[int, ...]:
-    """Flag qubits whose all-zeros branch is the 'good' branch."""
-    if kind == "solution":
-        return (state.num_qubits - 1,)
-    if kind == "residual":
-        return tuple(range(state.num_qubits - 4, state.num_qubits))
-    raise ValueError(f"unknown state kind {kind!r}")
 
 
 def solution_block(state: StateVector, ext: ExtendedMatrix, cfg: HhlConfig) -> np.ndarray:
@@ -275,48 +269,46 @@ def solution_block(state: StateVector, ext: ExtendedMatrix, cfg: HhlConfig) -> n
     return psi[0, m + nn:m + 2 * nn, 0]
 
 
-def _estimate(theta_state: StateVector, flag_qubits: tuple[int, ...], epsilon_int: float,
+def _estimate(state: StateVector, flag_qubits: tuple[int, ...], epsilon_int: float,
               rng: np.random.Generator, repeats: int) -> tuple[float, int]:
-    """(cos theta~, queries) from amplitude estimation on the given state."""
-    prep = StatePrep.from_state(theta_state.amplitudes, flag_qubits)
+    """(cos theta~, queries) from amplitude estimation on the state's good branch."""
     n_ae = ae_bits_for_accuracy(epsilon_int)
-    est = estimate_theta(prep, n_ae, rng, repeats=repeats)
-    return math.cos(est.theta_tilde), ae_query_count(n_ae, repeats)
+    theta = good_branch_angle(state.amplitudes, flag_qubits)
+    theta_tilde = estimate_theta(theta, n_ae, rng, repeats=repeats)
+    return math.cos(theta_tilde), ae_query_count(n_ae, repeats)
 
 
 def estimate_solution_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
-                           epsilon: float, rng: np.random.Generator,
-                           repeats: int = 1) -> float:
-    """||x_mu|| to within epsilon * ||b||, via amplitude estimation on the flag."""
-    value, _ = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
-    return value
+                           epsilon: float, rng: np.random.Generator, repeats: int = 1,
+                           solution: StateVector | None = None) -> tuple[float, int]:
+    """(||x_mu|| to within epsilon * ||b||, queries), by amplitude estimation.
 
-
-def _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution=None):
+    The good flag is the solver state's ancilla, its last qubit.  solution is
+    hhl_solution_state(ext, b, cfg) when the caller already has it.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     state = hhl_solution_state(ext, b, cfg) if solution is None else solution
-    flags = good_flag_qubits(state, "solution")
+    flags = (state.num_qubits - 1,)
     cos_t, queries = _estimate(state, flags, cfg.c_tilde * epsilon, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
     return cos_t / cfg.c_tilde * b_norm, queries
 
 
 def estimate_residual_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
-                           epsilon: float, rng: np.random.Generator,
-                           repeats: int = 1) -> float:
-    """||A x_mu - b|| to within epsilon * ||b||."""
-    value, _ = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats)
-    return value
+                           epsilon: float, rng: np.random.Generator, repeats: int = 1,
+                           solution: StateVector | None = None) -> tuple[float, int]:
+    """(||A x_mu - b|| to within epsilon * ||b||, queries).
 
-
-def _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution=None):
+    The good flags are the residual state's four ancillas, its first four
+    qubits.  solution is hhl_solution_state(ext, b, cfg) when the caller
+    already has it.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     state = residual_state(ext, b, cfg, solution)
-    flags = good_flag_qubits(state, "residual")
-    C = cfg.c_tilde / cfg.sigma_max
-    t = min(1.0, C)
+    flags = (0, 1, 2, 3)
+    t = min(1.0, cfg.c_tilde / cfg.sigma_max)
     cos_t, queries = _estimate(state, flags, epsilon * t / 2.0, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
     return 2.0 * cos_t / t * b_norm, queries
@@ -329,7 +321,6 @@ def estimate_norms(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig, epsilon: 
     The solver state is built once and shared by the two estimators.
     """
     solution = hhl_solution_state(ext, b, cfg)
-    sol, q1 = _solution_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution)
-    res, q2 = _residual_norm_with_queries(ext, b, cfg, epsilon, rng, repeats, solution)
-    return NormEstimates(solution_norm=sol, residual_norm=res, epsilon=epsilon,
-                         queries_used=q1 + q2)
+    sol, q1 = estimate_solution_norm(ext, b, cfg, epsilon, rng, repeats, solution)
+    res, q2 = estimate_residual_norm(ext, b, cfg, epsilon, rng, repeats, solution)
+    return NormEstimates(solution_norm=sol, residual_norm=res, queries_used=q1 + q2)

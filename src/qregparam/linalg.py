@@ -104,7 +104,6 @@ class ExtendedMatrix:
     mu: float
     A_mu: np.ndarray
     dilation: np.ndarray
-    kappa_mu: float
     A: np.ndarray = field(repr=False, default=None)
     svd: SvdFactorization = field(repr=False, default=None)
 
@@ -223,11 +222,7 @@ def build_extended(A: np.ndarray, mu: float,
     D[m + n:, m:m + n] = mu * np.eye(n)
     if svd is None:
         svd = compute_svd(A)
-    try:
-        kappa = condition_number_mu(svd, mu)
-    except ValueError:
-        kappa = math.inf
-    return ExtendedMatrix(mu=mu, A_mu=A_mu, dilation=D, kappa_mu=kappa, A=A, svd=svd)
+    return ExtendedMatrix(mu=mu, A_mu=A_mu, dilation=D, A=A, svd=svd)
 
 
 def _gcv_from_parts(residual_sq: float, m: int, n: int, g: float) -> float:

@@ -1,11 +1,13 @@
 """Minimal Matrix Market text reader/writer (coordinate and array, dense storage).
 
 Hand-rolled rather than delegated to scipy so that malformed input is reported
-with its line number, and duplicate coordinate entries are rejected instead of
-being summed.  A symmetric or hermitian file must be square, and there (i, j)
-and its mirror (j, i) are one entry.
+with its line number, duplicate coordinate entries are rejected instead of
+being summed, and so are non-finite values.  A symmetric or hermitian file
+must be square, and there (i, j) and its mirror (j, i) are one entry.
 """
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -28,11 +30,12 @@ def _parse_value(tokens: list[str], field: str, lineno: int) -> complex:
     if len(tokens) != expected:
         _fail(lineno, f"{field} entry needs {expected} value(s), got {len(tokens)}")
     try:
-        if field == "complex":
-            return complex(float(tokens[0]), float(tokens[1]))
-        return complex(int(tokens[0]) if field == "integer" else float(tokens[0]))
+        value = complex(*(int(t) if field == "integer" else float(t) for t in tokens))
     except ValueError:
         _fail(lineno, f"cannot parse {field} value from {' '.join(tokens)!r}")
+    if not cmath.isfinite(value):
+        _fail(lineno, f"non-finite {field} value {' '.join(tokens)!r}")
+    return value
 
 
 def load_matrix(path) -> np.ndarray:

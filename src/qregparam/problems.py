@@ -21,8 +21,8 @@ def generate_problem(kind: str, m: int, n: int, noise: float, seed: int,
         raise ValueError(f"unknown problem kind {kind!r}; choose from {KINDS}")
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     rng = np.random.default_rng(seed)
     q = min(m, n)
     if kind == "hilbert-like":

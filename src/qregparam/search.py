@@ -28,8 +28,8 @@ from .hhl import (
     HhlConfig,
     _padded,
     _phase_cells,
-    _residual_norm_with_queries,
     estimate_norms,
+    estimate_residual_norm,
 )
 from .linalg import (
     ExtendedMatrix,
@@ -257,7 +257,7 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
     queries = shots
     for j, mu in enumerate(grid.mus):
         res, q = _at_mu(problem, svd, float(mu), n_phase_bits,
-                        lambda ext, cfg: _residual_norm_with_queries(
+                        lambda ext, cfg: estimate_residual_norm(
                             ext, problem.b, cfg, epsilon, rng, repeats))
         criterion[j] = gcv_lowrank(sigma_est, res**2, problem.m, problem.n, float(mu))
         queries += q

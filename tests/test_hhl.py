@@ -21,13 +21,13 @@ from qregparam import (
     tikhonov_solve,
 )
 from qregparam import hhl
-from qregparam.hhl import good_flag_qubits, solution_block
+from qregparam.hhl import solution_block
 
 from conftest import gate_level_qpe, random_problem
 
 
-def flag_zero_mass(state, cfg, kind):
-    flags = good_flag_qubits(state, kind)
+def flag_zero_mass(state, flags):
+    """Mass of the branch where every qubit in flags reads 0."""
     probs = np.abs(state.amplitudes) ** 2
     idx = np.arange(probs.size)
     mask = np.ones(probs.size, dtype=bool)
@@ -75,13 +75,13 @@ class TestSolutionState:
         st = hhl_solution_state(ext, np.array([1.0]), cfg)
         blk = solution_block(st, ext, cfg)
         assert abs(blk[0]) == pytest.approx(cfg.c_tilde * 1.0, abs=1e-10)
-        assert flag_zero_mass(st, cfg, "solution") == pytest.approx(
+        assert flag_zero_mass(st, [st.num_qubits - 1]) == pytest.approx(
             cfg.c_tilde**2, abs=1e-10)
 
     def test_worked_flag_mass_and_block(self, worked_problem):
         ext, b, cfg = worked_problem
         st = hhl_solution_state(ext, b, cfg)
-        assert flag_zero_mass(st, cfg, "solution") == pytest.approx(
+        assert flag_zero_mass(st, [st.num_qubits - 1]) == pytest.approx(
             cfg.c_tilde**2 * 0.64, abs=1e-10)
         blk = solution_block(st, ext, cfg)
         x_oracle = tikhonov_solve(ext.svd, b, 0.5).x
@@ -194,6 +194,37 @@ class TestGateLevelReference:
         assert np.array_equal(residual_state(ext, b, cfg).amplitudes, got[2].amplitudes)
 
 
+class TestAngleContract:
+    """The angle each estimator hands to amplitude estimation, against the oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+           rank_deficient=st.booleans(), real=st.booleans(), n_bits=st.integers(3, 8))
+    def test_cos_angle_is_the_scaled_norm(self, seed, m, n, rank_deficient, real, n_bits):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
+        A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
+        mu = float(rng.uniform(0.2, 1.5))
+        ext = build_extended(A, mu)
+        cfg = HhlConfig.for_extended(ext, n_phase_bits=n_bits)
+        oracle = tikhonov_solve(ext.svd, b, mu)
+        b_norm = np.linalg.norm(b)
+        t = min(1.0, cfg.c_tilde / cfg.sigma_max)
+        cases = ((estimate_solution_norm, oracle.solution_norm, cfg.c_tilde),
+                 (estimate_residual_norm, oracle.residual_norm, t / 2))
+        for estimator, norm, scale in cases:
+            angles = []
+            # an exact readout: estimate_theta returns the angle it is given
+            with mock.patch.object(hhl, "estimate_theta",
+                                   lambda theta, *_, **__: angles.append(theta) or theta):
+                try:
+                    got, _ = estimator(ext, b, cfg, 0.05, np.random.default_rng(0))
+                except SpectrumResolutionError:  # the register cannot resolve A
+                    continue
+            assert math.cos(angles[0]) == pytest.approx(scale * norm / b_norm, abs=1e-10)
+            assert got == pytest.approx(norm, abs=1e-10 * b_norm / scale)
+
+
 class TestApplyAState:
     def test_identity_system_returns_b(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
@@ -231,14 +262,14 @@ class TestResidualState:
         ext = build_extended(np.array([[1.0]]), 0.0)
         cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
         st = residual_state(ext, np.array([1.0]), cfg)
-        assert flag_zero_mass(st, cfg, "residual") < 1e-12
+        assert flag_zero_mass(st, range(4)) < 1e-12
 
     def test_worked_component_norm(self, worked_problem):
         ext, b, cfg = worked_problem
         st = residual_state(ext, b, cfg)
         C = cfg.c_tilde / cfg.sigma_max
         t = min(1.0, C)
-        assert math.sqrt(flag_zero_mass(st, cfg, "residual")) == pytest.approx(
+        assert math.sqrt(flag_zero_mass(st, range(4))) == pytest.approx(
             (t / 2) * 0.2, abs=1e-10)
 
     def test_orthogonal_b_full_residual(self):
@@ -248,7 +279,7 @@ class TestResidualState:
         st = residual_state(ext, np.array([0.0, 1.0]), cfg)
         C = cfg.c_tilde / cfg.sigma_max
         t = min(1.0, C)
-        assert math.sqrt(flag_zero_mass(st, cfg, "residual")) == pytest.approx(
+        assert math.sqrt(flag_zero_mass(st, range(4))) == pytest.approx(
             t / 2, abs=1e-10)
 
     def test_state_normalized(self, worked_problem):
@@ -261,41 +292,41 @@ class TestNormEstimators:
     def test_identity_solution_norm(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
         cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
-        got = estimate_solution_norm(ext, np.array([1.0]), cfg, 0.05,
-                                     np.random.default_rng(0))
+        got, _ = estimate_solution_norm(ext, np.array([1.0]), cfg, 0.05,
+                                        np.random.default_rng(0))
         assert got == pytest.approx(1.0, abs=0.05)
 
     def test_worked_solution_norm(self, worked_problem):
         ext, b, cfg = worked_problem
-        got = estimate_solution_norm(ext, b, cfg, 0.05, np.random.default_rng(1),
-                                     repeats=5)
+        got, _ = estimate_solution_norm(ext, b, cfg, 0.05, np.random.default_rng(1),
+                                        repeats=5)
         assert got == pytest.approx(0.8, abs=0.05)
 
     def test_large_mu_crushes_solution(self):
         ext = build_extended(np.array([[1.0]]), 1000.0)
         cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
-        got = estimate_solution_norm(ext, np.array([1.0]), cfg, 0.05,
-                                     np.random.default_rng(2))
+        got, _ = estimate_solution_norm(ext, np.array([1.0]), cfg, 0.05,
+                                        np.random.default_rng(2))
         assert got <= 0.05
 
     def test_identity_residual_norm(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
         cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
-        got = estimate_residual_norm(ext, np.array([1.0]), cfg, 0.05,
-                                     np.random.default_rng(3))
+        got, _ = estimate_residual_norm(ext, np.array([1.0]), cfg, 0.05,
+                                        np.random.default_rng(3))
         assert got == pytest.approx(0.0, abs=0.05)
 
     def test_worked_residual_norm(self, worked_problem):
         ext, b, cfg = worked_problem
-        got = estimate_residual_norm(ext, b, cfg, 0.05, np.random.default_rng(4),
-                                     repeats=5)
+        got, _ = estimate_residual_norm(ext, b, cfg, 0.05, np.random.default_rng(4),
+                                        repeats=5)
         assert got == pytest.approx(0.2, abs=0.05)
 
     def test_huge_mu_residual_is_b_norm(self):
         ext = build_extended(np.array([[1.0]]), 1000.0)
         cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
         b = np.array([5.0])
-        got = estimate_residual_norm(ext, b, cfg, 0.05, np.random.default_rng(5))
+        got, _ = estimate_residual_norm(ext, b, cfg, 0.05, np.random.default_rng(5))
         assert got == pytest.approx(5.0, abs=0.05 * 5.0)
 
     def test_combined_accounting(self, worked_problem):
@@ -322,10 +353,10 @@ class TestNormEstimators:
             oracle = tikhonov_solve(ext.svd, prob.b, mu)
             b_norm = np.linalg.norm(prob.b)
             eps = 0.05
-            sol = estimate_solution_norm(ext, prob.b, cfg, eps,
-                                         np.random.default_rng(s))
-            res = estimate_residual_norm(ext, prob.b, cfg, eps,
-                                         np.random.default_rng(s))
+            sol, _ = estimate_solution_norm(ext, prob.b, cfg, eps,
+                                            np.random.default_rng(s))
+            res, _ = estimate_residual_norm(ext, prob.b, cfg, eps,
+                                            np.random.default_rng(s))
             hits += abs(sol - oracle.solution_norm) <= eps * b_norm
             hits += abs(res - oracle.residual_norm) <= eps * b_norm
             total += 2

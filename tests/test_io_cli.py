@@ -39,6 +39,11 @@ class TestGenerateProblem:
         with pytest.raises(ValueError, match="kind"):
             generate_problem("laplace", 2, 2, 0.0, seed=0)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_invalid_noise(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and nonnegative"):
+            generate_problem("low-rank", 3, 2, noise, seed=0)
+
 
 class TestMatrixMarket:
     def test_coordinate_identity(self, tmp_path):
@@ -159,6 +164,25 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match="line 3"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("field,value", [("real", "nan"), ("real", "-inf"),
+                                             ("real", "1e400"), ("complex", "1.0 nan")])
+    def test_non_finite_value_names_line(self, tmp_path, field, value):
+        path = tmp_path / "nan.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate {field} general\n"
+                        f"1 1 1\n1 1 {value}\n")
+        with pytest.raises(MatrixMarketError, match=f"line 3: non-finite {field} value"):
+            load_matrix(path)
+
+    def test_non_finite_rhs_through_cli(self, tmp_path, capsys):
+        save_matrix(tmp_path / "A.mtx", np.diag([1.0, 0.5]))
+        (tmp_path / "b.mtx").write_text(
+            "%%MatrixMarket matrix array real general\n2 1\n1.0\nnan\n")
+        code = main(["--method", "lcurve", "--matrix-file", str(tmp_path / "A.mtx"),
+                     "--rhs-file", str(tmp_path / "b.mtx")])
+        assert code == 1
+        assert ("error [MatrixMarketError]: line 4: non-finite real value 'nan'"
+                in capsys.readouterr().err)
+
     def test_vector_shape_enforced(self, tmp_path):
         path = tmp_path / "m.mtx"
         save_matrix(path, np.eye(2))
@@ -185,6 +209,13 @@ class TestRunConfig:
                           repeats=repeats).validate()
         with pytest.raises(ValueError, match="--rank"):
             RunConfig(method="gcv", problem="geometric-spectrum", rank=0).validate()
+        nan, inf = float("nan"), float("inf")
+        for flag, values in (("epsilon", (nan, inf, 0.0)), ("mu0", (nan, inf, -inf, 0.0)),
+                             ("noise", (nan, inf, -0.1))):
+            for value in values:
+                with pytest.raises(ValueError, match=f"--{flag} must be finite"):
+                    RunConfig(method="lcurve", problem="geometric-spectrum",
+                              **{flag: value}).validate()
 
 
 class TestCli:
