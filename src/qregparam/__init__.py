@@ -13,17 +13,7 @@ from .linalg import (
     tikhonov_solve,
     tsvd_solve,
 )
-from .statevector import (
-    CapacityError,
-    StateVector,
-    UnitaryOp,
-    apply,
-    controlled,
-    hamiltonian_evolution,
-    measure,
-    phase_estimation,
-    qft,
-)
+from .statevector import CapacityError, StateVector
 from .amplitude import estimate_theta
 from .hhl import (
     HhlConfig,

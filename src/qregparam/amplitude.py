@@ -7,9 +7,9 @@ Everything else here works on theta alone.  The Grover operator rotates the
 plane spanned by the two branches by 2*theta, so phase estimation on it reads
 theta off the phase register; its register distribution is the closed-form
 Fejer kernel of theta.  Register values are folded through two's complement
-so both +-theta branches decode to the same cos(theta).  grover_operator and
-estimate_theta_full_circuit simulate the circuit itself and are the reference
-for that closed form.
+so both +-theta branches decode to the same cos(theta).  The circuit itself
+(the dense Grover operator under gate-level phase estimation) is simulated in
+tests/reference.py, the reference for that closed form.
 """
 from __future__ import annotations
 
@@ -18,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevector import (
-    StateVector,
-    UnitaryOp,
-    measure,
-    phase_estimation,
-    twos_complement,
-)
+from .statevector import twos_complement
 
 
 def good_branch_angle(amplitudes: np.ndarray, flag_qubits: Sequence[int]) -> float:
@@ -34,14 +28,6 @@ def good_branch_angle(amplitudes: np.ndarray, flag_qubits: Sequence[int]) -> flo
                       flag_qubits, range(f)).reshape(2**f, -1)
     # row 0: every flag qubit reads 0
     return math.atan2(np.linalg.norm(psi[1:]), np.linalg.norm(psi[0]))
-
-
-def grover_operator(amplitudes: np.ndarray, flag_qubits: Sequence[int]) -> UnitaryOp:
-    """G = (2|phi><phi| - I) * M with M = -1 where some flag qubit reads 1."""
-    signs = np.full((2,) * (amplitudes.size.bit_length() - 1), -1.0)
-    signs[tuple(0 if q in flag_qubits else slice(None) for q in range(signs.ndim))] = 1.0
-    refl = 2.0 * np.outer(amplitudes, amplitudes.conj()) - np.eye(amplitudes.size)
-    return UnitaryOp(refl * signs.ravel())
 
 
 def fold_register(y: int, n_bits: int) -> float:
@@ -99,16 +85,6 @@ def estimate_theta(theta: float, n_bits: int, rng: np.random.Generator,
     probs = qpe_on_grover_distribution(theta, n_bits)
     outcomes = rng.choice(2**n_bits, size=repeats, p=probs / probs.sum())
     return sorted(fold_register(int(y), n_bits) for y in outcomes)[repeats // 2]
-
-
-def estimate_theta_full_circuit(amplitudes: np.ndarray, flag_qubits: Sequence[int],
-                                n_bits: int, rng: np.random.Generator) -> float:
-    """Same contract as estimate_theta but simulating the full Grover operator."""
-    G = grover_operator(amplitudes, flag_qubits)
-    out = phase_estimation(G, StateVector(amplitudes.size.bit_length() - 1, amplitudes),
-                           n_bits)
-    bits, _ = measure(out, list(range(n_bits)), rng)
-    return fold_register(int("".join(map(str, bits)), 2), n_bits)
 
 
 def ae_bits_for_accuracy(epsilon: float) -> int:

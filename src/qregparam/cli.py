@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import RegularizedProblem, compute_svd, gcv_value, tikhonov_solve, \
-    tsvd_solve
+from .linalg import RegularizedProblem, compute_svd, tikhonov_solve, tsvd_solve
 from .mmio import load_matrix, load_vector
 from .problems import KINDS, generate_problem
 from .search import ParameterGrid, classical_select, gcv_pipeline, lcurve_pipeline
@@ -107,67 +106,54 @@ def run(config: RunConfig) -> RunReport:
     config.validate()
     t0 = time.perf_counter()
     problem = _load_problem(config)
-    svd = compute_svd(problem.A)
     grid = ParameterGrid.geometric(config.mu0, config.rho, config.p)
     rng = np.random.default_rng(config.seed)
 
-    rows: list[dict] = []
-    oracle = {float(mu): tikhonov_solve(svd, problem.b, float(mu)) for mu in grid.mus}
-
-    def oracle_row(mu: float, with_gcv: bool) -> dict:
-        sol = oracle[mu]
-        row = {
-            "mu": float(mu),
-            "solution_norm_oracle": float(sol.solution_norm),
-            "residual_norm_oracle": float(sol.residual_norm),
-        }
-        if with_gcv:
-            row["gcv_oracle"] = float(gcv_value(svd, problem.b, mu))
-        return row
-
     if config.method == "tikhonov":
-        sol = tikhonov_solve(svd, problem.b, config.mu0)
-        rows.append({"mu": config.mu0,
-                     "solution_norm_oracle": float(sol.solution_norm),
-                     "residual_norm_oracle": float(sol.residual_norm)})
+        sol = tikhonov_solve(compute_svd(problem.A), problem.b, config.mu0)
+        rows = [{"mu": config.mu0,
+                 "solution_norm_oracle": float(sol.solution_norm),
+                 "residual_norm_oracle": float(sol.residual_norm)}]
         selection = {"chosen_mu": config.mu0,
                      "solution_norm": float(sol.solution_norm),
                      "residual_norm": float(sol.residual_norm)}
         queries = 1
     elif config.method == "tsvd":
-        sol = tsvd_solve(svd, problem.b, config.rank)
-        rows.append({"k": config.rank,
-                     "solution_norm_oracle": float(sol.solution_norm),
-                     "residual_norm_oracle": float(sol.residual_norm)})
+        sol = tsvd_solve(compute_svd(problem.A), problem.b, config.rank)
+        rows = [{"k": config.rank,
+                 "solution_norm_oracle": float(sol.solution_norm),
+                 "residual_norm_oracle": float(sol.residual_norm)}]
         selection = {"chosen_k": config.rank,
                      "solution_norm": float(sol.solution_norm),
                      "residual_norm": float(sol.residual_norm)}
         queries = 1
-    elif config.method in ("classical-lcurve", "classical-gcv"):
-        criterion = "lcurve-sum" if config.method == "classical-lcurve" else "gcv"
-        result = classical_select(problem, grid, criterion)
-        for j, mu in enumerate(grid.mus):
-            row = oracle_row(float(mu), with_gcv=(criterion == "gcv"))
-            row["criterion"] = float(result.criterion_values[j])
-            rows.append(row)
-    elif config.method == "lcurve":
-        result = lcurve_pipeline(problem, grid, config.n_phase_bits, config.epsilon,
-                                 rng, repeats=config.repeats)
-        for j, (mu, pt) in enumerate(zip(grid.mus, result.points)):
-            row = oracle_row(float(mu), with_gcv=False)
-            row["solution_norm_est"] = float(pt.solution_norm)
-            row["residual_norm_est"] = float(pt.residual_norm)
-            row["criterion"] = float(result.criterion_values[j])
-            rows.append(row)
-    else:  # gcv
-        result = gcv_pipeline(problem, grid, config.rank, config.n_phase_bits,
-                              config.epsilon, rng, repeats=config.repeats)
-        for j, mu in enumerate(grid.mus):
-            row = oracle_row(float(mu), with_gcv=True)
-            row["gcv_est"] = float(result.criterion_values[j])
-            rows.append(row)
-
-    if config.method not in ("tikhonov", "tsvd"):
+    else:
+        # one oracle table: every grid row carries the exact norms, and the
+        # GCV methods also carry the exact G(mu)
+        with_gcv = config.method in ("gcv", "classical-gcv")
+        oracle = classical_select(problem, grid, "gcv" if with_gcv else "lcurve-sum")
+        rows = [{"mu": pt.mu,
+                 "solution_norm_oracle": float(pt.solution_norm),
+                 "residual_norm_oracle": float(pt.residual_norm)} for pt in oracle.points]
+        if with_gcv:
+            for row, value in zip(rows, oracle.criterion_values):
+                row["gcv_oracle"] = float(value)
+        if config.method == "lcurve":
+            result = lcurve_pipeline(problem, grid, config.n_phase_bits, config.epsilon,
+                                     rng, repeats=config.repeats)
+            for row, pt, value in zip(rows, result.points, result.criterion_values):
+                row["solution_norm_est"] = float(pt.solution_norm)
+                row["residual_norm_est"] = float(pt.residual_norm)
+                row["criterion"] = float(value)
+        elif config.method == "gcv":
+            result = gcv_pipeline(problem, grid, config.rank, config.n_phase_bits,
+                                  config.epsilon, rng, repeats=config.repeats)
+            for row, value in zip(rows, result.criterion_values):
+                row["gcv_est"] = float(value)
+        else:  # classical-lcurve, classical-gcv
+            result = oracle
+            for row, value in zip(rows, result.criterion_values):
+                row["criterion"] = float(value)
         selection = {"chosen_index": result.chosen_index,
                      "chosen_mu": float(result.chosen_mu)}
         queries = result.queries_used
@@ -187,42 +173,37 @@ def run(config: RunConfig) -> RunReport:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags named after RunConfig's fields; an omitted flag keeps its field default."""
     ap = argparse.ArgumentParser(
         prog="qregparam",
         description="Choose a Tikhonov regularization parameter by simulated "
                     "quantum L-curve/GCV search or by the classical oracles.",
+        argument_default=argparse.SUPPRESS,
     )
-    ap.add_argument("--problem", choices=KINDS, default=None,
+    ap.add_argument("--problem", choices=KINDS,
                     help="generator kind (alternative to --matrix-file)")
-    ap.add_argument("--m", type=int, default=4)
-    ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--noise", type=float, default=0.01)
-    ap.add_argument("--matrix-file", default=None, help="Matrix Market matrix")
-    ap.add_argument("--rhs-file", default=None, help="Matrix Market right-hand side")
-    ap.add_argument("--mu0", type=float, default=1.0)
-    ap.add_argument("--rho", type=float, default=0.9)
-    ap.add_argument("--p", type=int, default=16)
+    ap.add_argument("--m", type=int)
+    ap.add_argument("--n", type=int)
+    ap.add_argument("--noise", type=float)
+    ap.add_argument("--matrix-file", help="Matrix Market matrix")
+    ap.add_argument("--rhs-file", help="Matrix Market right-hand side")
+    ap.add_argument("--mu0", type=float)
+    ap.add_argument("--rho", type=float)
+    ap.add_argument("--p", type=int)
     ap.add_argument("--method", required=True, choices=METHODS)
-    ap.add_argument("--epsilon", type=float, default=0.05)
-    ap.add_argument("--phase-bits", type=int, default=6, dest="n_phase_bits")
-    ap.add_argument("--rank", type=int, default=2, help="GCV low-rank truncation")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--repeats", type=int, default=5,
+    ap.add_argument("--epsilon", type=float)
+    ap.add_argument("--phase-bits", type=int, dest="n_phase_bits")
+    ap.add_argument("--rank", type=int, help="GCV low-rank truncation")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--repeats", type=int,
                     help="odd amplitude-estimation repetitions (median taken)")
-    ap.add_argument("--out", default=None, help="report path (stdout if omitted)")
+    ap.add_argument("--out", help="report path (stdout if omitted)")
     return ap
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("QREGPARAM_LOG", "WARNING").upper())
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        method=args.method, problem=args.problem, m=args.m, n=args.n,
-        noise=args.noise, matrix_file=args.matrix_file, rhs_file=args.rhs_file,
-        mu0=args.mu0, rho=args.rho, p=args.p, epsilon=args.epsilon,
-        n_phase_bits=args.n_phase_bits, rank=args.rank, seed=args.seed,
-        out=args.out, repeats=args.repeats,
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         report = run(config)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -26,7 +26,7 @@ from .amplitude import (
     estimate_theta,
     good_branch_angle,
 )
-from .linalg import ExtendedMatrix
+from .linalg import ExtendedMatrix, _dilation
 from .statevector import (
     StateVector,
     _check_capacity,
@@ -52,12 +52,11 @@ class HhlConfig:
     t_evolution: float
 
     @classmethod
-    def for_extended(cls, ext: ExtendedMatrix, n_phase_bits: int = 6,
-                     c_tilde: float | None = None) -> "HhlConfig":
+    def for_extended(cls, ext: ExtendedMatrix, n_phase_bits: int = 6) -> "HhlConfig":
         """Derive the constants from the classical SVD (a simulator privilege).
 
-        c_tilde defaults to the smallest nonzero dilation eigenvalue magnitude;
-        tests may override it with a lower bound instead.
+        c_tilde is the smallest nonzero dilation eigenvalue magnitude, the
+        largest value that keeps every rotation amplitude c_tilde/lambda <= 1.
         """
         sigma = ext.svd.sigma
         smax = ext.svd.sigma_max
@@ -75,7 +74,7 @@ class HhlConfig:
         lam_max = math.sqrt(smax**2 + mu**2)
         return cls(
             n_phase_bits=n_phase_bits,
-            c_tilde=lam_min if c_tilde is None else c_tilde,
+            c_tilde=lam_min,
             sigma_max=smax,
             t_evolution=math.pi / (2.0 * lam_max),
         )
@@ -195,15 +194,6 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> St
     return qpe_inverse(state, eig, phase, system)
 
 
-def _multiply_dilation(ext: ExtendedMatrix) -> np.ndarray:
-    """Hermitian dilation of A alone, in the same (m, n, n) block layout."""
-    m, n = ext.m, ext.n
-    D = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
-    D[:m, m + n:] = ext.A
-    D[m + n:, :m] = ext.A.conj().T
-    return D
-
-
 def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
                   solution: StateVector | None = None) -> StateVector:
     """Good branch (both ancillas |0>) proportional to A x_mu with amplitude C ||x_mu||.
@@ -215,7 +205,8 @@ def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     n = cfg.n_phase_bits
     k = state.num_qubits - n - 1
     _check_capacity(n + k + 2)
-    Ha, _ = _padded(_multiply_dilation(ext))
+    # the dilation of A alone: the (m, n, n) layout of ext.dilation at mu = 0
+    Ha, _ = _padded(_dilation(ext.A, 0.0))
     smax = cfg.sigma_max
     eig2, lam2 = _phase_cells(Ha, math.pi / (2.0 * smax), n)
     state = state.tensor(zero_state(1))
@@ -259,14 +250,6 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     out[0, 0, :, : 2**k] -= b_terms
     out[0, 1, :, : 2**k] += b_terms
     return StateVector(psi.num_qubits + 2, out.reshape(-1))
-
-
-def solution_block(state: StateVector, ext: ExtendedMatrix, cfg: HhlConfig) -> np.ndarray:
-    """The x-block of the good branch of hhl_solution_state (unnormalized)."""
-    n, m, nn = cfg.n_phase_bits, ext.m, ext.n
-    k = state.num_qubits - n - 1
-    psi = state.amplitudes.reshape(2**n, 2**k, 2)
-    return psi[0, m + nn:m + 2 * nn, 0]
 
 
 def _estimate(state: StateVector, flag_qubits: tuple[int, ...], epsilon_int: float,

@@ -99,10 +99,9 @@ class TikhonovSolution:
 
 @dataclass
 class ExtendedMatrix:
-    """The stacked matrix (A; mu I) and its Hermitian block-antidiagonal dilation."""
+    """The stacked matrix (A; mu I), held as its Hermitian block-antidiagonal dilation."""
 
     mu: float
-    A_mu: np.ndarray
     dilation: np.ndarray
     A: np.ndarray = field(repr=False, default=None)
     svd: SvdFactorization = field(repr=False, default=None)
@@ -201,6 +200,20 @@ def condition_number_mu(svd: SvdFactorization, mu: float) -> float:
     return math.sqrt((smax**2 + mu**2) / mu**2)
 
 
+def _dilation(A: np.ndarray, mu: float) -> np.ndarray:
+    """Hermitian dilation of (A; mu I) in the layout build_extended describes.
+
+    At mu = 0 it is the dilation of A alone, with the same (m, n, n) blocks.
+    """
+    m, n = A.shape
+    D = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
+    D[:m, m + n:] = A
+    D[m:m + n, m + n:] = mu * np.eye(n)
+    D[m + n:, :m] = A.conj().T
+    D[m + n:, m:m + n] = mu * np.eye(n)
+    return D
+
+
 def build_extended(A: np.ndarray, mu: float,
                    svd: SvdFactorization | None = None) -> ExtendedMatrix:
     """Stack A over mu*I and embed the stack in its Hermitian dilation.
@@ -213,16 +226,9 @@ def build_extended(A: np.ndarray, mu: float,
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    m, n = A.shape
-    A_mu = np.vstack([A, mu * np.eye(n, dtype=complex)])
-    D = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
-    D[:m, m + n:] = A
-    D[m:m + n, m + n:] = mu * np.eye(n)
-    D[m + n:, :m] = A.conj().T
-    D[m + n:, m:m + n] = mu * np.eye(n)
     if svd is None:
         svd = compute_svd(A)
-    return ExtendedMatrix(mu=mu, A_mu=A_mu, dilation=D, A=A, svd=svd)
+    return ExtendedMatrix(mu=mu, dilation=_dilation(A, mu), A=A, svd=svd)
 
 
 def _gcv_from_parts(residual_sq: float, m: int, n: int, g: float) -> float:

@@ -199,17 +199,18 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
         raise ValueError("r must be >= 1")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    Hd, k = _padded(ext.dilation)
-    if np.linalg.norm(Hd) == 0:
+    if not np.any(ext.A):
         raise ValueError("zero matrix has no singular values to sample")
+    Hd, k = _padded(ext.dilation)
     w = np.linalg.eigvalsh(Hd) if eigvals is None else eigvals
     lam_max = float(np.max(np.abs(w)))
-    top = np.sort(np.abs(w))[::-1]
-    mass = np.sum(top[: 2 * r] ** 2) / np.sum(top**2)
+    # the premise is about A: its sigma^2 = lambda^2 - mu^2, once per sign of lambda
+    sigma_sq = np.sort(np.maximum(w**2 - ext.mu**2, 0.0))[::-1]
+    mass = np.sum(sigma_sq[: 2 * r]) / np.sum(sigma_sq)
     if mass < 0.99:
         warnings.warn(
-            f"top-{r} modes carry only {mass:.3f} of the Frobenius mass; "
-            "the low-rank premise is violated",
+            f"top-{r} singular values carry only {mass:.3f} of the Frobenius mass "
+            "of A; the low-rank premise is violated",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -239,16 +240,14 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
 
 def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
                  n_phase_bits: int, epsilon: float, rng: np.random.Generator,
-                 repeats: int = 5, shots: int | None = None) -> SelectionResult:
+                 repeats: int = 5) -> SelectionResult:
     """Singular-value extraction, parallel residual estimation, min of G(mu_j)."""
     def sample(ext: ExtendedMatrix, _cfg: HhlConfig) -> tuple[int, np.ndarray]:
         eigvals = np.linalg.eigvalsh(_padded(ext.dilation)[0])
-        k = shots
-        if k is None:
-            w = np.abs(eigvals)
-            nz = np.sort(w[w > 1e-12 * w.max()])
-            ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
-            k = max(10 * r, math.ceil(10 * r * ratio))
+        w = np.abs(eigvals)
+        nz = np.sort(w[w > 1e-12 * w.max()])
+        ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
+        k = max(10 * r, math.ceil(10 * r * ratio))
         return k, principal_singular_values(ext, r, n_phase_bits, k, rng, eigvals)
 
     svd = compute_svd(problem.A)

@@ -1,4 +1,11 @@
-"""Dense statevector simulator: gates, QFT, phase estimation, Hamiltonian evolution.
+"""Dense statevector simulator: states, gates and phase estimation.
+
+The pipelines run phase estimation through qpe_forward/qpe_inverse, which
+evaluate the controlled-power ladder in the eigenbasis of the evolution.
+phase_estimation and _ladder_forward simulate the same circuit gate by gate
+with apply and controlled; the tests use them, together with the dense QFT
+matrix, Hamiltonian evolution and measurement in tests/reference.py, as the
+reference for the eigenbasis form.
 
 Qubit ordering convention (used everywhere in this package): qubit 0 is the
 MOST significant bit of the basis-state index, so a register listed first
@@ -13,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_QUBITS = 24
-_NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
 
@@ -66,12 +72,6 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
-
-
 @dataclass(frozen=True)
 class UnitaryOp:
     """A unitary matrix on a whole number of qubits."""
@@ -99,11 +99,8 @@ class UnitaryOp:
         return self.dimension.bit_length() - 1
 
 
-# common single-qubit gates
-X = UnitaryOp(np.array([[0, 1], [1, 0]], dtype=complex))
-Z = UnitaryOp(np.array([[1, 0], [0, -1]], dtype=complex))
+# the Hadamard gate of the gate-level QPE ladder
 H = UnitaryOp(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
-I2 = UnitaryOp(np.eye(2, dtype=complex))
 
 
 def apply(state: StateVector, op: UnitaryOp, targets: list[int]) -> StateVector:
@@ -135,25 +132,6 @@ def controlled(op: UnitaryOp, power: int = 1) -> UnitaryOp:
     return UnitaryOp(mat)
 
 
-def qft(n: int, inverse: bool = False) -> UnitaryOp:
-    """DFT matrix with entries omega^{jk} / sqrt(2^n), omega = e^{2 pi i / 2^n}."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    N = 2**n
-    j = np.arange(N)
-    mat = np.exp(2j * np.pi * np.outer(j, j) / N) / np.sqrt(N)
-    return UnitaryOp(mat.conj().T if inverse else mat)
-
-
-def hamiltonian_evolution(H_mat: np.ndarray, t: float) -> UnitaryOp:
-    """Exact e^{-i H t} via eigendecomposition."""
-    H_mat = np.asarray(H_mat, dtype=complex)
-    if np.max(np.abs(H_mat - H_mat.conj().T)) > 1e-10:
-        raise ValueError("Hamiltonian is not Hermitian")
-    w, V = np.linalg.eigh(H_mat)
-    return UnitaryOp((V * np.exp(-1j * w * t)) @ V.conj().T)
-
-
 def _fourier(block: np.ndarray, inverse: bool) -> np.ndarray:
     """QFT (or its inverse) along axis 0 of a (2^n, ...) block, via an FFT."""
     scale = 2 ** ((block.shape[0].bit_length() - 1) / 2)
@@ -170,8 +148,8 @@ def _fourier(block: np.ndarray, inverse: bool) -> np.ndarray:
 def _apply_qft_fast(state: StateVector, targets: list[int], inverse: bool) -> StateVector:
     """Apply the QFT to a register via an FFT along its axis.
 
-    Equivalent to apply(state, qft(n, inverse), targets) but O(N log N) in the
-    register size instead of O(N^2) matrix application.
+    Equivalent to applying the dense QFT matrix (qft in tests/reference.py)
+    to the register, but O(N log N) in the register size instead of O(N^2).
     """
     n = len(targets)
     q = state.num_qubits
@@ -262,19 +240,6 @@ def _ladder_forward(state: StateVector, op: UnitaryOp,
     return _apply_qft_fast(state, list(phase_targets), inverse=True)
 
 
-def _ladder_inverse(state: StateVector, op: UnitaryOp,
-                    phase_targets: list[int], system_targets: list[int]) -> StateVector:
-    """Exact inverse of _ladder_forward; the tests' reference for qpe_inverse."""
-    n = len(phase_targets)
-    dagger = UnitaryOp(op.matrix.conj().T)
-    state = _apply_qft_fast(state, list(phase_targets), inverse=False)
-    for j, qubit in reversed(list(enumerate(phase_targets))):
-        state = apply(state, controlled(dagger, 2 ** (n - 1 - j)), [qubit, *system_targets])
-    for j in phase_targets:
-        state = apply(state, H, [j])
-    return state
-
-
 def phase_estimation(op: UnitaryOp, input_state: StateVector, n_bits: int) -> StateVector:
     """Standard QPE; returns the combined [phase register, system] state.
 
@@ -296,36 +261,6 @@ def phase_estimation(op: UnitaryOp, input_state: StateVector, n_bits: int) -> St
     state = StateVector(n_bits + k, amps)
     return _ladder_forward(state, op, list(range(n_bits)),
                            list(range(n_bits, n_bits + k)))
-
-
-def measure(state: StateVector, qubits: list[int],
-            rng: np.random.Generator) -> tuple[tuple[int, ...], StateVector]:
-    """Sample the addressed qubits from the Born marginal and collapse."""
-    qubits = list(qubits)
-    q = state.num_qubits
-    if len(set(qubits)) != len(qubits) or any(not 0 <= i < q for i in qubits):
-        raise ValueError(f"invalid measurement qubits {qubits}")
-    psi = state.amplitudes.reshape((2,) * q)
-    marginal = register_distribution(state, qubits)
-    total = marginal.sum()
-    outcome = int(rng.choice(2 ** len(qubits), p=marginal / total))
-    bits = tuple((outcome >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits)))
-    sel = [slice(None)] * q
-    for bit, qubit in zip(bits, qubits):
-        sel[qubit] = bit
-    collapsed = np.zeros_like(psi)
-    collapsed[tuple(sel)] = psi[tuple(sel)]
-    collapsed = collapsed.reshape(-1)
-    collapsed /= np.linalg.norm(collapsed)
-    return bits, StateVector(q, collapsed)
-
-
-def register_distribution(state: StateVector, qubits: list[int]) -> np.ndarray:
-    """Exact Born marginal over the addressed qubits, indexed by register value."""
-    q = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * q)
-    moved = np.moveaxis(np.abs(psi) ** 2, list(qubits), range(len(qubits)))
-    return moved.reshape(2 ** len(qubits), -1).sum(axis=1)
 
 
 def twos_complement(y: int, n_bits: int) -> int:

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from qregparam import HhlConfig, RegularizedProblem, UnitaryOp, build_extended
-from qregparam.statevector import _ladder_forward, _ladder_inverse
+from qregparam import HhlConfig, RegularizedProblem, build_extended
+from qregparam.statevector import UnitaryOp, _ladder_forward
+
+from reference import _ladder_inverse
 
 
 @pytest.fixture

@@ -30,9 +30,10 @@ from qregparam.amplitude import fold_register, qpe_on_grover_distribution
 from qregparam.cli import RunConfig, run
 from qregparam.linalg import _solve_with_filters
 from qregparam.search import durr_hoyer_budget, principal_singular_values
-from qregparam.statevector import UnitaryOp, basis_state, phase_estimation
+from qregparam.statevector import UnitaryOp, phase_estimation
 
 from conftest import random_problem
+from reference import basis_state
 
 
 def report(number, name, ok):

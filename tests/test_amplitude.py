@@ -4,22 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qregparam.statevector import (
-    StateVector,
-    UnitaryOp,
-    phase_estimation,
-    register_distribution,
-)
+from qregparam.statevector import StateVector, UnitaryOp, phase_estimation
 from qregparam.amplitude import (
     ae_bits_for_accuracy,
     ae_query_count,
     estimate_theta,
-    estimate_theta_full_circuit,
     fold_register,
     good_branch_angle,
-    grover_operator,
     qpe_on_grover_distribution,
 )
+
+from reference import estimate_theta_full_circuit, grover_operator, register_distribution
 
 
 def gate_level_distribution(theta, n_bits):

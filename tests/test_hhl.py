@@ -1,4 +1,5 @@
 """Solver states on the extended matrix and the amplitude-estimated norms."""
+import dataclasses
 import math
 from unittest import mock
 
@@ -21,9 +22,9 @@ from qregparam import (
     tikhonov_solve,
 )
 from qregparam import hhl
-from qregparam.hhl import solution_block
 
 from conftest import gate_level_qpe, random_problem
+from reference import solution_block
 
 
 def flag_zero_mass(state, flags):
@@ -108,7 +109,7 @@ class TestSolutionState:
 
     def test_c_tilde_ceiling_enforced(self, worked_problem):
         ext, b, _ = worked_problem
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=5, c_tilde=2.0)
+        cfg = dataclasses.replace(HhlConfig.for_extended(ext, n_phase_bits=5), c_tilde=2.0)
         with pytest.raises(ValueError, match="c_tilde"):
             hhl_solution_state(ext, b, cfg)
 

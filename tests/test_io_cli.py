@@ -224,6 +224,10 @@ class TestCli:
             build_parser().parse_args(["--method", "newton"])
         assert exc.value.code == 2
 
+    def test_omitted_flags_keep_run_config_defaults(self):
+        args = build_parser().parse_args(["--method", "gcv", "--problem", "low-rank"])
+        assert RunConfig(**vars(args)) == RunConfig(method="gcv", problem="low-rank")
+
     def test_classical_lcurve_table(self):
         config = RunConfig(method="classical-lcurve", problem="geometric-spectrum",
                            m=3, n=3, noise=0.01, mu0=0.8, rho=0.5, p=4, seed=0)

@@ -120,7 +120,6 @@ class TestTsvdSolve:
 class TestBuildExtended:
     def test_one_by_one(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        assert np.allclose(ext.A_mu, [[1.0], [0.0]])
         w = np.sort(np.linalg.eigvalsh(ext.dilation))
         assert np.allclose(w, [-1.0, 0.0, 1.0], atol=1e-12)
 
@@ -135,8 +134,6 @@ class TestBuildExtended:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((3, 2))
         ext = build_extended(A, 0.7)
-        assert np.allclose(ext.A_mu[:3], A)
-        assert np.allclose(ext.A_mu[3:], 0.7 * np.eye(2))
         D = ext.dilation
         assert np.allclose(D, D.conj().T, atol=1e-12)
         assert np.allclose(D[:3, 5:], A)

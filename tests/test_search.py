@@ -25,14 +25,10 @@ from qregparam import (
 )
 from qregparam import hhl
 from qregparam.search import durr_hoyer_budget, principal_singular_values
-from qregparam.statevector import (
-    MAX_QUBITS,
-    StateVector,
-    qpe_forward,
-    register_distribution,
-)
+from qregparam.statevector import MAX_QUBITS, StateVector, qpe_forward
 
 from conftest import random_problem
+from reference import register_distribution
 
 
 def statevector_register_distribution(ext, n_bits):
@@ -215,6 +211,23 @@ class TestPrincipalSingularValues:
         ext = build_extended(prob.A, 0.1)
         with pytest.warns(RuntimeWarning, match="low-rank"):
             principal_singular_values(ext, 1, 8, 50, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m,n", [(4, 4), (6, 4), (8, 6)])
+    def test_exact_low_rank_does_not_warn(self, m, n):
+        # the dilation's sigma = 0 modes carry +-mu, which is no mass of A
+        prob = generate_problem("low-rank", m, n, 0.0, seed=0)
+        ext = build_extended(prob.A, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sig = principal_singular_values(ext, min(m, n) // 2, 10, 100,
+                                            np.random.default_rng(0))
+        assert sig.size == min(m, n) // 2
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_zero_matrix_rejected(self, mu):
+        ext = build_extended(np.zeros((3, 2)), mu)
+        with pytest.raises(ValueError, match="zero matrix"):
+            principal_singular_values(ext, 1, 6, 50, np.random.default_rng(0))
 
     def test_too_few_clusters_reported(self):
         ext = build_extended(np.diag([1.0, 0.5]), 0.5)

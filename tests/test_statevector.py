@@ -10,27 +10,29 @@ from qregparam.hhl import _padded
 from qregparam.statevector import (
     CapacityError,
     H,
-    I2,
     StateVector,
     UnitaryOp,
-    X,
-    Z,
     _apply_qft_fast,
     apply,
-    basis_state,
     controlled,
-    hamiltonian_evolution,
-    measure,
     phase_estimation,
-    qft,
     qpe_forward,
     qpe_inverse,
-    register_distribution,
     twos_complement,
     zero_state,
 )
 
 from conftest import gate_level_qpe, random_problem
+from reference import (
+    I2,
+    X,
+    Z,
+    basis_state,
+    hamiltonian_evolution,
+    measure,
+    qft,
+    register_distribution,
+)
 
 
 def rotation(angle):
