@@ -1,31 +1,32 @@
 """Amplitude estimation on the angle of a good branch.
 
 A state splits as cos(theta) |good> + sin(theta) |bad>, where "good" means
-every flag qubit reads 0; the hhl estimators name the flags of the states
-they build, and good_branch_angle turns a state and its flags into theta.
-Everything else here works on theta alone.  The Grover operator rotates the
-plane spanned by the two branches by 2*theta, so phase estimation on it reads
-theta off the phase register; its register distribution is the closed-form
-Fejer kernel of theta.  Register values are folded through two's complement
-so both +-theta branches decode to the same cos(theta).  The circuit itself
-(the dense Grover operator under gate-level phase estimation) is simulated in
+every flag qubit reads 0.  The flags lead the register (the statevector
+layout), so good_branch_angle turns a state and its number of flags into
+theta from two contiguous blocks.  Everything else here works on theta
+alone.  The Grover operator rotates the plane spanned by the two branches
+by 2*theta, so phase estimation on it reads theta off the phase register;
+its register distribution is the closed-form Fejer kernel of theta.
+Register values are folded through two's complement so both +-theta
+branches decode to the same cos(theta).  The circuit itself (the dense
+Grover operator under gate-level phase estimation) is simulated in
 tests/reference.py, the reference for that closed form.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .statevector import twos_complement
 
 
-def good_branch_angle(amplitudes: np.ndarray, flag_qubits: Sequence[int]) -> float:
-    """Angle in [0, pi/2] whose cosine is the norm of the all-flags-zero branch."""
-    f = len(flag_qubits)
-    psi = np.moveaxis(amplitudes.reshape((2,) * (amplitudes.size.bit_length() - 1)),
-                      flag_qubits, range(f)).reshape(2**f, -1)
+def good_branch_angle(amplitudes: np.ndarray, n_flags: int) -> float:
+    """Angle in [0, pi/2] whose cosine is the norm of the all-flags-zero branch.
+
+    The flags are the n_flags leading qubits.
+    """
+    psi = amplitudes.reshape(2**n_flags, -1)
     # row 0: every flag qubit reads 0
     return math.atan2(np.linalg.norm(psi[1:]), np.linalg.norm(psi[0]))
 

@@ -109,23 +109,17 @@ def run(config: RunConfig) -> RunReport:
     grid = ParameterGrid.geometric(config.mu0, config.rho, config.p)
     rng = np.random.default_rng(config.seed)
 
-    if config.method == "tikhonov":
-        sol = tikhonov_solve(compute_svd(problem.A), problem.b, config.mu0)
-        rows = [{"mu": config.mu0,
-                 "solution_norm_oracle": float(sol.solution_norm),
-                 "residual_norm_oracle": float(sol.residual_norm)}]
-        selection = {"chosen_mu": config.mu0,
-                     "solution_norm": float(sol.solution_norm),
-                     "residual_norm": float(sol.residual_norm)}
-        queries = 1
-    elif config.method == "tsvd":
-        sol = tsvd_solve(compute_svd(problem.A), problem.b, config.rank)
-        rows = [{"k": config.rank,
-                 "solution_norm_oracle": float(sol.solution_norm),
-                 "residual_norm_oracle": float(sol.residual_norm)}]
-        selection = {"chosen_k": config.rank,
-                     "solution_norm": float(sol.solution_norm),
-                     "residual_norm": float(sol.residual_norm)}
+    if config.method in ("tikhonov", "tsvd"):
+        # a single solve: its norms are the one row and the selection
+        svd = compute_svd(problem.A)
+        if config.method == "tikhonov":
+            key, value, sol = "mu", config.mu0, tikhonov_solve(svd, problem.b, config.mu0)
+        else:
+            key, value, sol = "k", config.rank, tsvd_solve(svd, problem.b, config.rank)
+        norms = {"solution_norm": float(sol.solution_norm),
+                 "residual_norm": float(sol.residual_norm)}
+        rows = [{key: value, **{f"{name}_oracle": v for name, v in norms.items()}}]
+        selection = {f"chosen_{key}": value, **norms}
         queries = 1
     else:
         # one oracle table: every grid row carries the exact norms, and the

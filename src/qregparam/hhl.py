@@ -12,6 +12,8 @@ cell.  All estimator error then comes from amplitude estimation, which the
 pipelines budget through epsilon; the unmodified evolution would add a
 phase-estimation leakage that no error budget accounts for.  A register too
 narrow to give each eigenvalue its own cell raises SpectrumResolutionError.
+The states follow the statevector layout [flags, phase, system]: each
+rotated ancilla is a fresh flag inserted above the phase register.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from .statevector import (
     _check_capacity,
     qpe_forward,
     qpe_inverse,
-    zero_state,
 )
 
 _ZERO_EIG_TOL = 1e-12
@@ -148,33 +149,29 @@ def _phase_cells(H: np.ndarray, t: float, n_bits: int
     return (V, phases), lam_by_cell
 
 
-def _rotate_ancilla(state: StateVector, amps_by_cell: np.ndarray, n_bits: int,
-                    ancilla: int) -> StateVector:
-    """Rotate the ancilla by arcsin of the per-phase-cell good amplitude.
+def _add_flag(state: StateVector, amps_by_cell: np.ndarray, k: int) -> StateVector:
+    """Insert a fresh flag qubit directly above the phase register.
 
-    The ancilla |0> branch receives amplitude a(y); cell 0 (and any cell with
-    a = 0) sends the component entirely to |1>, excluding it from inversion.
+    The flag starts in |0> and is rotated by arcsin of the per-phase-cell
+    amplitude a(y): its |0> branch is a(y) psi and its |1> branch
+    sqrt(1 - a(y)^2) psi.  Cell 0 (and any cell with a = 0) sends the
+    component entirely to |1>, excluding it from inversion.
     """
-    q = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * q)
-    psi = np.moveaxis(psi, [*range(n_bits), ancilla], [*range(n_bits), q - 1])
-    shape = psi.shape
-    psi = psi.reshape(2**n_bits, -1, 2)
+    psi = state.amplitudes.reshape(-1, amps_by_cell.size, 2**k)
     a = amps_by_cell[:, np.newaxis]
     b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
-    out = np.empty_like(psi)
-    out[:, :, 0] = a * psi[:, :, 0] - b * psi[:, :, 1]
-    out[:, :, 1] = b * psi[:, :, 0] + a * psi[:, :, 1]
-    psi = np.moveaxis(out.reshape(shape), [*range(n_bits), q - 1],
-                      [*range(n_bits), ancilla])
-    return StateVector(q, psi.reshape(-1))
+    out = np.empty((psi.shape[0], 2, *psi.shape[1:]), dtype=complex)
+    np.multiply(a, psi, out=out[:, 0])
+    np.multiply(b, psi, out=out[:, 1])
+    return StateVector(state.num_qubits + 1, out.reshape(-1))
 
 
 def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> StateVector:
     """The solver state: good flag |0> branch carries C~ ||x_mu|| |x_mu>.
 
-    Register order: [phase (n_phase_bits), system (dilation, padded), ancilla].
-    The x block occupies system coordinates m+n .. m+2n-1.
+    Register order: [ancilla, phase (n_phase_bits), system (dilation,
+    padded)].  The x block occupies system coordinates m+n .. m+2n-1.
+    Forward phase estimation runs before the ancilla exists.
     """
     Hd, k = _padded(ext.dilation)
     n = cfg.n_phase_bits
@@ -185,20 +182,19 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> St
             f"c_tilde {cfg.c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
         )
     _check_capacity(n + k + 1)
-    amps = np.zeros(2 ** (n + k + 1), dtype=complex)
-    amps[: 2 ** (k + 1): 2] = prepare_b_state(b, k).amplitudes  # phase 0, ancilla 0
-    phase, system = list(range(n)), list(range(n, n + k))
-    state = qpe_forward(StateVector(n + k + 1, amps), eig, phase, system)
+    amps = np.zeros(2 ** (n + k), dtype=complex)
+    amps[: 2**k] = prepare_b_state(b, k).amplitudes  # phase register |0>
+    state = qpe_forward(StateVector(n + k, amps), eig, n)
     amps = np.divide(cfg.c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
-    state = _rotate_ancilla(state, np.clip(amps, -1.0, 1.0), n, ancilla=n + k)
-    return qpe_inverse(state, eig, phase, system)
+    state = _add_flag(state, np.clip(amps, -1.0, 1.0), k)
+    return qpe_inverse(state, eig, n)
 
 
 def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
                   solution: StateVector | None = None) -> StateVector:
     """Good branch (both ancillas |0>) proportional to A x_mu with amplitude C ||x_mu||.
 
-    Register order: [phase, system, hhl ancilla, multiply ancilla].
+    Register order: [hhl ancilla, multiply ancilla, phase, system].
     solution is hhl_solution_state(ext, b, cfg) when the caller already has it.
     """
     state = hhl_solution_state(ext, b, cfg) if solution is None else solution
@@ -209,11 +205,9 @@ def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     Ha, _ = _padded(_dilation(ext.A, 0.0))
     smax = cfg.sigma_max
     eig2, lam2 = _phase_cells(Ha, math.pi / (2.0 * smax), n)
-    state = state.tensor(zero_state(1))
-    phase, system = list(range(n)), list(range(n, n + k))
-    state = qpe_forward(state, eig2, phase, system)
-    state = _rotate_ancilla(state, np.clip(lam2 / smax, -1.0, 1.0), n, ancilla=n + k + 1)
-    return qpe_inverse(state, eig2, phase, system)
+    state = qpe_forward(state, eig2, n)
+    state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0), k)
+    return qpe_inverse(state, eig2, n)
 
 
 def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
@@ -221,9 +215,8 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     """All-ancillas-zero component equals (t/2)(||x_mu|| A|x_mu> - |b>), b normalized.
 
     Register order: [hhl ancilla, multiply ancilla, selector, rotation qubit,
-    phase, system]; the good flag is the four leading qubits.  With the flags
-    in front, the good branch is the first 2^(n+k) amplitudes, and amplitude
-    estimation reads its angle without a permuted copy of the state.
+    phase, system]; the good flag is the four leading qubits, so the good
+    branch is the first 2^(n+k) amplitudes.
     solution is hhl_solution_state(ext, b, cfg) when the caller already has it.
     """
     psi = apply_A_state(ext, b, cfg, solution)
@@ -236,15 +229,15 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     # radicand corrected to 1 - t^2 C^-2 for unitarity.  Step 3: Hadamard on
     # the selector.  Together: selector s, rotation qubit r carry
     # (col0[r] psi - col1[r] b) for s = 0 and (col0[r] psi + col1[r] b) for s = 1.
-    # psi's two ancillas (its trailing qubits) become the two leading rows.
+    # psi's two ancillas (its leading qubits) stay the two leading rows.
     C = cfg.c_tilde / cfg.sigma_max
     t = min(1.0, C)
     a0, a1 = t / C, t
     col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
     col1 = np.array([a1, math.sqrt(1 - a1**2)]) / 2
-    ancillas_first = psi.amplitudes.reshape(-1, 4).T
-    out = np.empty((4, 2, 2, ancillas_first.shape[1]), dtype=complex)
-    np.multiply(ancillas_first[:, np.newaxis, :], col0[:, np.newaxis], out=out[:, 0])
+    rows = psi.amplitudes.reshape(4, -1)
+    out = np.empty((4, 2, 2, rows.shape[1]), dtype=complex)
+    np.multiply(rows[:, np.newaxis, :], col0[:, np.newaxis], out=out[:, 0])
     out[:, 1] = out[:, 0]
     b_terms = np.outer(col1, prepare_b_state(b, k).amplitudes)
     out[0, 0, :, : 2**k] -= b_terms
@@ -252,11 +245,11 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     return StateVector(psi.num_qubits + 2, out.reshape(-1))
 
 
-def _estimate(state: StateVector, flag_qubits: tuple[int, ...], epsilon_int: float,
+def _estimate(state: StateVector, n_flags: int, epsilon_int: float,
               rng: np.random.Generator, repeats: int) -> tuple[float, int]:
     """(cos theta~, queries) from amplitude estimation on the state's good branch."""
     n_ae = ae_bits_for_accuracy(epsilon_int)
-    theta = good_branch_angle(state.amplitudes, flag_qubits)
+    theta = good_branch_angle(state.amplitudes, n_flags)
     theta_tilde = estimate_theta(theta, n_ae, rng, repeats=repeats)
     return math.cos(theta_tilde), ae_query_count(n_ae, repeats)
 
@@ -266,14 +259,13 @@ def estimate_solution_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
                            solution: StateVector | None = None) -> tuple[float, int]:
     """(||x_mu|| to within epsilon * ||b||, queries), by amplitude estimation.
 
-    The good flag is the solver state's ancilla, its last qubit.  solution is
+    The good flag is the solver state's ancilla, its first qubit.  solution is
     hhl_solution_state(ext, b, cfg) when the caller already has it.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     state = hhl_solution_state(ext, b, cfg) if solution is None else solution
-    flags = (state.num_qubits - 1,)
-    cos_t, queries = _estimate(state, flags, cfg.c_tilde * epsilon, rng, repeats)
+    cos_t, queries = _estimate(state, 1, cfg.c_tilde * epsilon, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
     return cos_t / cfg.c_tilde * b_norm, queries
 
@@ -290,9 +282,8 @@ def estimate_residual_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     state = residual_state(ext, b, cfg, solution)
-    flags = (0, 1, 2, 3)
     t = min(1.0, cfg.c_tilde / cfg.sigma_max)
-    cos_t, queries = _estimate(state, flags, epsilon * t / 2.0, rng, repeats)
+    cos_t, queries = _estimate(state, 4, epsilon * t / 2.0, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
     return 2.0 * cos_t / t * b_norm, queries
 

@@ -245,16 +245,19 @@ def _gcv_from_parts(residual_sq: float, m: int, n: int, g: float) -> float:
     return residual_sq / denom**2
 
 
+def _gcv_trace(svd: SvdFactorization, mu: float) -> float:
+    """g(mu) = sum mu^2/(sigma_i^2+mu^2), the trace term of the GCV denominator."""
+    g = float(np.sum(mu**2 / (svd.sigma**2 + mu**2)))
+    # singular values beyond min(m, n) are zero when m < n: each contributes 1
+    return g + max(0, svd.n - svd.sigma.size)
+
+
 def gcv_value(svd: SvdFactorization, b: np.ndarray, mu: float) -> float:
     """GCV function ||A x_mu - b||^2 / [m - n + sum mu^2/(sigma_i^2+mu^2)]^2."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     sol = tikhonov_solve(svd, b, mu)
-    q = svd.sigma.size
-    g = float(np.sum(mu**2 / (svd.sigma**2 + mu**2)))
-    # singular values beyond min(m, n) are zero when m < n: each contributes 1
-    g += max(0, svd.n - q)
-    return _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, g)
+    return _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, _gcv_trace(svd, mu))
 
 
 def gcv_lowrank(sigma_r: np.ndarray, residual_sq: float, m: int, n: int, mu: float) -> float:

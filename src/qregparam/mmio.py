@@ -109,23 +109,15 @@ def load_matrix(path) -> np.ndarray:
         lineno = entries[-1][0] if entries else size_lineno
         _fail(lineno, f"expected {expected} array values, found {len(entries)}")
     M = np.zeros((m, n), dtype=complex)
-    pos = 0
-    for lineno, ln in entries:
+    if symmetry == "general":
+        cols, rows = np.divmod(np.arange(m * n), m)  # column-major
+    else:
+        cols, rows = np.triu_indices(m)  # packed lower triangle, column-major
+    for (lineno, ln), i, j in zip(entries, rows, cols):
         v = _parse_value(ln.split(), field, lineno)
-        if symmetry == "general":
-            j, i = divmod(pos, m)  # column-major
-        else:
-            # packed lower triangle, column-major
-            j = 0
-            rem = pos
-            while rem >= m - j:
-                rem -= m - j
-                j += 1
-            i = j + rem
         M[i, j] = v
         if symmetry != "general" and i != j:
             M[j, i] = v.conjugate() if symmetry == "hermitian" else v
-        pos += 1
     return M
 
 

@@ -38,10 +38,11 @@ from .linalg import (
     build_extended,
     compute_svd,
     gcv_lowrank,
-    gcv_value,
+    _gcv_from_parts,
+    _gcv_trace,
     tikhonov_solve,
 )
-from .statevector import _check_capacity, twos_complement
+from .statevector import MAX_QUBITS, CapacityError, _check_capacity, twos_complement
 
 
 @dataclass
@@ -193,7 +194,8 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
     is (eigenvalues in y) * lambda_y^2, normalized, since a cell's
     eigenvalues agree within the zero tolerance of _phase_cells.  Zero
     eigenvalues sit in cell 0 with weight 0.  The register must still fit
-    the simulator: CapacityError when n_bits + 2k exceeds MAX_QUBITS.
+    the simulator: CapacityError when n_bits + 2k exceeds MAX_QUBITS or,
+    before any draw, when shots exceeds 2^MAX_QUBITS.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -217,6 +219,8 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
     t = math.pi / (2.0 * lam_max)
     (_, phases), lam_by_cell = _phase_cells(Hd, t, n_bits)
     _check_capacity(n_bits + 2 * k)
+    if shots > 2**MAX_QUBITS:
+        raise CapacityError(f"{shots} shots exceed the {2**MAX_QUBITS}-draw capacity")
     N = 2**n_bits
     probs = np.bincount(np.rint(phases * N).astype(int), minlength=N) * lam_by_cell**2
     probs = probs / probs.sum()
@@ -224,9 +228,8 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
     counts: dict[float, int] = {}
     for y in outcomes:
         mag = abs(twos_complement(int(y), n_bits))
-        if mag == 0:
-            continue
-        counts[mag] = counts.get(mag, 0) + 1
+        if mag:
+            counts[mag] = counts.get(mag, 0) + 1
     if len(counts) < r:
         raise RuntimeError(
             f"only {len(counts)} distinct singular-value clusters found after "
@@ -280,6 +283,7 @@ def classical_select(problem: RegularizedProblem, grid: ParameterGrid,
         if criterion == "lcurve-sum":
             values[j] = sol.solution_norm**2 + sol.residual_norm**2
         else:
-            values[j] = gcv_value(svd, problem.b, float(mu))
+            g = _gcv_trace(svd, float(mu))
+            values[j] = _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, g)
     j0 = int(np.argmin(values))
     return SelectionResult(j0, float(grid.mus[j0]), values, grid.p, [j0], points=points)

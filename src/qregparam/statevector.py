@@ -11,6 +11,10 @@ Qubit ordering convention (used everywhere in this package): qubit 0 is the
 MOST significant bit of the basis-state index, so a register listed first
 occupies the high bits.  For a phase-estimation register of n qubits the
 register value y and a system state s combine into index y * 2^k + s.
+Every state the pipelines build is laid out [flag qubits in creation order,
+phase register, system], so it is a (flags, 2^n, 2^k) array: the QPE
+kernels work along its middle axis, a fresh flag is a new leading axis, and
+the all-flags-zero branch is the first 2^(n+k) amplitudes.
 """
 from __future__ import annotations
 
@@ -59,18 +63,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(
-            self.num_qubits + other.num_qubits,
-            np.kron(self.amplitudes, other.amplitudes),
-        )
-
-
-def zero_state(num_qubits: int) -> StateVector:
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
-
 
 @dataclass(frozen=True)
 class UnitaryOp:
@@ -93,10 +85,6 @@ class UnitaryOp:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dimension.bit_length() - 1
 
 
 # the Hadamard gate of the gate-level QPE ladder
@@ -133,14 +121,14 @@ def controlled(op: UnitaryOp, power: int = 1) -> UnitaryOp:
 
 
 def _fourier(block: np.ndarray, inverse: bool) -> np.ndarray:
-    """QFT (or its inverse) along axis 0 of a (2^n, ...) block, via an FFT."""
-    scale = 2 ** ((block.shape[0].bit_length() - 1) / 2)
+    """QFT (or its inverse) along axis 1 of a (rest, 2^n, ...) block, via an FFT."""
+    scale = 2 ** ((block.shape[1].bit_length() - 1) / 2)
     # QFT has exponent +2 pi i jk / N: that is numpy's ifft up to normalization
     if inverse:
-        out = np.fft.fft(block, axis=0)
+        out = np.fft.fft(block, axis=1)
         out /= scale
     else:
-        out = np.fft.ifft(block, axis=0)
+        out = np.fft.ifft(block, axis=1)
         out *= scale
     return out
 
@@ -156,77 +144,70 @@ def _apply_qft_fast(state: StateVector, targets: list[int], inverse: bool) -> St
     psi = state.amplitudes.reshape((2,) * q)
     psi = np.moveaxis(psi, targets, range(n))
     shape = psi.shape
-    block = _fourier(psi.reshape(2**n, -1), inverse)
+    block = _fourier(psi.reshape(1, 2**n, -1), inverse)
     psi = np.moveaxis(block.reshape(shape), range(n), targets)
     return StateVector(q, psi.reshape(-1))
 
 
-def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
-    """In place: H on every qubit of the register along axis 0 of a C-ordered block.
+def _walsh_hadamard(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """H on every qubit of the register along axis 1 of a (rest, 2^n, K) block.
 
-    The butterflies run one qubit at a time; the only temporary is half a block.
+    The result goes to out, which may be block itself.  The butterflies run
+    one qubit at a time; the only temporary is half a block.
     """
-    N = block.shape[0]
-    flat = block.reshape(N, -1)
+    rest, N = block.shape[:2]
     half = 1
     while half < N:
-        pairs = flat.reshape(half, 2, -1)
+        pairs = block.reshape(rest * half, 2, -1)
+        dest = out.reshape(rest * half, 2, -1)
         low = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+        np.add(low, pairs[:, 1], out=dest[:, 0])
+        np.subtract(low, pairs[:, 1], out=dest[:, 1])
+        block = out
         half *= 2
-    flat *= 1.0 / math.sqrt(N)
-    return block
+    return np.multiply(block, 1.0 / math.sqrt(N), out=out)
 
 
-def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
-               phase_targets: list[int], system_targets: list[int],
+def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray], n_bits: int,
                inverse: bool) -> StateVector:
     """The controlled-power ladder of QPE evaluated in the eigenbasis of op.
 
     With op = V diag(e^{2 pi i phases}) V^dag, the ladder applies op^y to the
     system when the phase register holds y, so in the eigenbasis it is one
-    elementwise factor e^{2 pi i y phases_j}.  The amplitudes are laid out as
-    (phase register, other qubits, system register), so that each change of
-    basis is one matrix product.
+    elementwise factor e^{2 pi i y phases_j}.  In the module's layout the
+    amplitudes are a (flags, 2^n, 2^k) array, so each change of basis is one
+    matrix product over the last axis.
     """
     V, phases = eig
-    n, k = len(phase_targets), len(system_targets)
-    q = state.num_qubits
-    rest = [i for i in range(q) if i not in phase_targets and i not in system_targets]
-    order = [*phase_targets, *rest, *system_targets]
-    psi = np.transpose(state.amplitudes.reshape((2,) * q), order)
-    if inverse:
-        psi = _fourier(psi.reshape(2**n, -1), inverse=False)
-    else:
-        psi = _walsh_hadamard(np.array(psi, order="C").reshape(2**n, -1))
-    shape = (2**n, -1, 2**k)
+    N, K = 2**n_bits, V.shape[0]
+    psi = state.amplitudes.reshape(-1, N, K)
+    psi = _fourier(psi, False) if inverse else _walsh_hadamard(psi, np.empty_like(psi))
     # y * phase reduced mod 1 before scaling by 2 pi keeps dyadic phases exact
-    turns = np.outer(np.arange(2**n), phases) % 1.0
+    turns = np.outer(np.arange(N), phases) % 1.0
     factor = np.exp((-2j if inverse else 2j) * math.pi * turns)
-    psi = (psi.reshape(-1, 2**k) @ V.conj()).reshape(shape)   # V^dag on the system
-    psi *= factor[:, np.newaxis, :]
-    psi = (psi.reshape(-1, 2**k) @ V.T).reshape(2**n, -1)      # V on the system
-    psi = _walsh_hadamard(psi) if inverse else _fourier(psi, inverse=True)
-    psi = np.transpose(psi.reshape((2,) * q), np.argsort(order))
-    return StateVector(q, psi.reshape(-1))
+    psi = (psi.reshape(-1, K) @ V.conj()).reshape(-1, N, K)   # V^dag on the system
+    psi *= factor
+    psi = (psi.reshape(-1, K) @ V.T).reshape(-1, N, K)        # V on the system
+    psi = _walsh_hadamard(psi, psi) if inverse else _fourier(psi, True)
+    return StateVector(state.num_qubits, psi.reshape(-1))
 
 
 def qpe_forward(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
-                phase_targets: list[int], system_targets: list[int]) -> StateVector:
+                n_bits: int) -> StateVector:
     """Hadamards, the controlled-op^{2^j} ladder, then the inverse QFT.
 
-    eig = (V, phases) describes op = V diag(e^{2 pi i phases}) V^dag; the
-    ladder is evaluated in that eigenbasis (_ladder_forward is the same
-    circuit gate by gate).
+    eig = (V, phases) describes op = V diag(e^{2 pi i phases}) V^dag on the
+    system, the last log2(len(V)) qubits; the phase register is the n_bits
+    qubits above it.  The ladder is evaluated in that eigenbasis
+    (_ladder_forward is the same circuit gate by gate).
     """
-    return _eigen_qpe(state, eig, phase_targets, system_targets, inverse=False)
+    return _eigen_qpe(state, eig, n_bits, inverse=False)
 
 
 def qpe_inverse(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
-                phase_targets: list[int], system_targets: list[int]) -> StateVector:
+                n_bits: int) -> StateVector:
     """Exact inverse of qpe_forward."""
-    return _eigen_qpe(state, eig, phase_targets, system_targets, inverse=True)
+    return _eigen_qpe(state, eig, n_bits, inverse=True)
 
 
 def _ladder_forward(state: StateVector, op: UnitaryOp,

@@ -30,10 +30,13 @@ def random_problem(rng, m, n, rank_deficient=False):
     return RegularizedProblem(A=A, b=b)
 
 
-def gate_level_qpe(state, eig, phase_targets, system_targets, inverse=False):
+def gate_level_qpe(state, eig, n_bits, inverse=False):
     """Reference for qpe_forward/qpe_inverse: the gate-by-gate controlled-power
-    ladder on the dense op = V diag(e^{2 pi i phases}) V^dag."""
+    ladder on the dense op = V diag(e^{2 pi i phases}) V^dag, with the system
+    the last log2(len(V)) qubits and the n_bits phase qubits just above it."""
     V, phases = eig
     op = UnitaryOp((V * np.exp(2j * np.pi * phases)) @ V.conj().T)
+    q, k = state.num_qubits, V.shape[0].bit_length() - 1
+    phase, system = list(range(q - k - n_bits, q - k)), list(range(q - k, q))
     ladder = _ladder_inverse if inverse else _ladder_forward
-    return ladder(state, op, phase_targets, system_targets)
+    return ladder(state, op, phase, system)

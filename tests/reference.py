@@ -122,5 +122,5 @@ def solution_block(state: StateVector, ext: ExtendedMatrix, cfg: HhlConfig) -> n
     """The x-block of the good branch of hhl_solution_state (unnormalized)."""
     n, m, nn = cfg.n_phase_bits, ext.m, ext.n
     k = state.num_qubits - n - 1
-    psi = state.amplitudes.reshape(2**n, 2**k, 2)
-    return psi[0, m + nn:m + 2 * nn, 0]
+    psi = state.amplitudes.reshape(2, 2**n, 2**k)
+    return psi[0, 0, m + nn:m + 2 * nn]

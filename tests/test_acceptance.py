@@ -114,7 +114,7 @@ def test_04_amplitude_estimation_bound():
 
 
 def flag_zero_mass(state, cfg):
-    flags = (state.num_qubits - 1,)  # the solver state's ancilla
+    flags = (0,)  # the solver state's ancilla
     probs = np.abs(state.amplitudes) ** 2
     idx = np.arange(probs.size)
     mask = np.ones(probs.size, dtype=bool)

@@ -36,7 +36,7 @@ def prep_with_angle(theta, k=2):
 
 class TestStatePrep:
     def test_theta_readout(self):
-        theta = good_branch_angle(prep_with_angle(0.4), (0,))
+        theta = good_branch_angle(prep_with_angle(0.4), 1)
         assert theta == pytest.approx(0.4, abs=1e-12)
 
 
@@ -56,10 +56,10 @@ class TestGroverOperator:
         for _ in range(5):
             amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             amps /= np.linalg.norm(amps)
-            G = grover_operator(amps, (1,))
+            G = grover_operator(amps, (0,))
             w = np.linalg.eigvals(G.matrix)
             angles = np.sort(np.abs(np.angle(w)))
-            assert np.min(np.abs(angles - 2 * good_branch_angle(amps, (1,)))) < 1e-8
+            assert np.min(np.abs(angles - 2 * good_branch_angle(amps, 1))) < 1e-8
 
 
 class TestEstimateTheta:
@@ -101,7 +101,7 @@ class TestEstimateTheta:
         # dyadic angle: both implementations must read the phase exactly
         theta = math.pi * 4 / 2**4  # rotation 2*theta has dyadic phase 4/16
         amps = prep_with_angle(theta, k=2)
-        sub = estimate_theta(good_branch_angle(amps, (0,)), 4, np.random.default_rng(1))
+        sub = estimate_theta(good_branch_angle(amps, 1), 4, np.random.default_rng(1))
         full = estimate_theta_full_circuit(amps, (0,), 4, np.random.default_rng(1))
         assert sub == pytest.approx(theta, abs=1e-9)
         assert full == pytest.approx(theta, abs=1e-9)

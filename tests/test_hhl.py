@@ -76,13 +76,13 @@ class TestSolutionState:
         st = hhl_solution_state(ext, np.array([1.0]), cfg)
         blk = solution_block(st, ext, cfg)
         assert abs(blk[0]) == pytest.approx(cfg.c_tilde * 1.0, abs=1e-10)
-        assert flag_zero_mass(st, [st.num_qubits - 1]) == pytest.approx(
+        assert flag_zero_mass(st, [0]) == pytest.approx(
             cfg.c_tilde**2, abs=1e-10)
 
     def test_worked_flag_mass_and_block(self, worked_problem):
         ext, b, cfg = worked_problem
         st = hhl_solution_state(ext, b, cfg)
-        assert flag_zero_mass(st, [st.num_qubits - 1]) == pytest.approx(
+        assert flag_zero_mass(st, [0]) == pytest.approx(
             cfg.c_tilde**2 * 0.64, abs=1e-10)
         blk = solution_block(st, ext, cfg)
         x_oracle = tikhonov_solve(ext.svd, b, 0.5).x
@@ -232,7 +232,7 @@ class TestApplyAState:
         cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
         st = apply_A_state(ext, np.array([1.0]), cfg)
         n, k = cfg.n_phase_bits, st.num_qubits - cfg.n_phase_bits - 2
-        good = st.amplitudes.reshape(2**n, 2**k, 2, 2)[0, :, 0, 0]
+        good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         C = cfg.c_tilde / cfg.sigma_max
         assert abs(good[0]) == pytest.approx(C, abs=1e-10)
 
@@ -240,7 +240,7 @@ class TestApplyAState:
         ext, b, cfg = worked_problem
         st = apply_A_state(ext, b, cfg)
         n, k = cfg.n_phase_bits, st.num_qubits - cfg.n_phase_bits - 2
-        good = st.amplitudes.reshape(2**n, 2**k, 2, 2)[0, :, 0, 0]
+        good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         C = cfg.c_tilde / cfg.sigma_max
         x = tikhonov_solve(ext.svd, b, 0.5).x
         expect = np.zeros(2**k, dtype=complex)
@@ -254,7 +254,7 @@ class TestApplyAState:
         cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
         st = apply_A_state(ext, np.array([0.0, 1.0]), cfg)
         n, k = cfg.n_phase_bits, st.num_qubits - cfg.n_phase_bits - 2
-        good = st.amplitudes.reshape(2**n, 2**k, 2, 2)[0, :, 0, 0]
+        good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         assert np.linalg.norm(good) < 1e-10
 
 

@@ -1,5 +1,7 @@
 """Problem generators, Matrix Market I/O, and the command-line driver."""
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,14 @@ class TestMatrixMarket:
         )
         M = load_matrix(path)
         assert M[1, 0] == 2j and M[0, 1] == -2j
+
+    def test_packed_array_storage(self, tmp_path):
+        # a symmetric array file lists the lower triangle column by column
+        path = tmp_path / "p.mtx"
+        path.write_text("%%MatrixMarket matrix array real symmetric\n3 3\n"
+                        "1\n2\n3\n4\n5\n6\n")
+        M = load_matrix(path)
+        assert np.array_equal(M.real, [[1, 2, 3], [2, 4, 5], [3, 5, 6]])
 
     @pytest.mark.parametrize("body", ["array real symmetric\n3 2\n1\n2\n3\n",
                                       "coordinate real symmetric\n3 2 1\n3 1 5.0\n"],
@@ -303,3 +313,27 @@ class TestCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestReadmeExamples:
+    """The Quick start and Command line blocks of README.md run as written."""
+
+    @staticmethod
+    def block(section, lang):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        body = text.split(f"## {section}\n", 1)[1]
+        return body.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+    def test_quick_start(self, capsys):
+        exec(compile(self.block("Quick start", "python"), "README.md", "exec"), {})
+        chosen, oracle = map(float, capsys.readouterr().out.split())
+        assert chosen > 0 and oracle > 0
+
+    def test_command_line(self, tmp_path):
+        argv = shlex.split(self.block("Command line", "sh").replace("\\\n", " "))
+        assert argv[0] == "qregparam" and argv[-2] == "--out"
+        out = tmp_path / argv[-1]
+        assert main(argv[1:-1] + [str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        kinds = ["config"] + ["mu"] * records[0]["p"] + ["summary"]
+        assert [r["record"] for r in records] == kinds

@@ -1,6 +1,7 @@
 """Minimum finding, the two selection pipelines, and the classical oracle."""
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qregparam import (
     lcurve_pipeline,
     tikhonov_solve,
 )
-from qregparam import hhl
+from qregparam import hhl, linalg, search
 from qregparam.search import durr_hoyer_budget, principal_singular_values
 from qregparam.statevector import MAX_QUBITS, StateVector, qpe_forward
 
@@ -37,12 +38,12 @@ def statevector_register_distribution(ext, n_bits):
     Hd, k = hhl._padded(ext.dilation)
     t = math.pi / (2.0 * np.max(np.abs(np.linalg.eigvalsh(Hd))))
     eig, _ = hhl._phase_cells(Hd, t, n_bits)
-    amps = np.zeros(2 ** (n_bits + 2 * k), dtype=complex)
-    amps[: 4**k] = (Hd / np.linalg.norm(Hd)).reshape(-1)
-    # QPE couples the phase register to the row register (the high k system qubits)
-    out = qpe_forward(StateVector(n_bits + 2 * k, amps), eig, list(range(n_bits)),
-                      list(range(n_bits, n_bits + k)))
-    probs = register_distribution(out, list(range(n_bits)))
+    amps = np.zeros((2**k, 2**n_bits, 2**k), dtype=complex)
+    # QPE couples the phase register to the row register, which is the system
+    # (the last k qubits); the column register leads
+    amps[:, 0, :] = (Hd / np.linalg.norm(Hd)).T
+    out = qpe_forward(StateVector(n_bits + 2 * k, amps), eig, n_bits)
+    probs = register_distribution(out, list(range(k, k + n_bits)))
     return probs / probs.sum()
 
 
@@ -291,6 +292,19 @@ class TestGcvPipeline:
             assert res.criterion_values[j] == pytest.approx(
                 gcv_value(svd, prob.b, float(mu)), rel=0.15)
 
+    def test_shot_count_past_capacity_refused_before_sampling(self):
+        # at mu_1 ~ 1e-4 the shot rule asks for about 2e9 draws (~16 GB)
+        class NoDraw:
+            def choice(self, *args, **kwargs):
+                raise AssertionError("rng.choice called")
+
+        prob = generate_problem("low-rank", 3, 2, 0.01, seed=0)
+        grid = ParameterGrid.geometric(1.1e-4, 0.9, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(CapacityError, match=r"^2040608122 shots exceed"):
+                gcv_pipeline(prob, grid, 2, 15, 0.05, NoDraw())
+
 
 class TestClassicalSelect:
     def test_single_mu(self):
@@ -325,6 +339,17 @@ class TestClassicalSelect:
                 assert res.criterion_values[j] == pytest.approx(
                     direct(float(mu)), rel=1e-12)
             assert res.queries_used == grid.p
+
+    def test_gcv_solves_each_mu_once(self):
+        prob = random_problem(np.random.default_rng(6), 4, 3)
+        grid = ParameterGrid.geometric(1.0, 0.7, 5)
+        svd = compute_svd(prob.A)
+        with mock.patch.object(search, "tikhonov_solve", wraps=tikhonov_solve) as outer, \
+                mock.patch.object(linalg, "tikhonov_solve", wraps=tikhonov_solve) as inner:
+            res = classical_select(prob, grid, "gcv")
+        assert outer.call_count + inner.call_count == grid.p
+        expect = [gcv_value(svd, prob.b, float(mu)) for mu in grid.mus]
+        assert np.array_equal(res.criterion_values, expect)
 
     def test_unknown_criterion(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.0, seed=0)

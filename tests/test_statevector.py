@@ -19,7 +19,6 @@ from qregparam.statevector import (
     qpe_forward,
     qpe_inverse,
     twos_complement,
-    zero_state,
 )
 
 from conftest import gate_level_qpe, random_problem
@@ -42,7 +41,7 @@ def rotation(angle):
 
 class TestApply:
     def test_pauli_x(self):
-        out = apply(zero_state(1), X, [0])
+        out = apply(basis_state(1, 0), X, [0])
         assert np.allclose(out.amplitudes, [0, 1])
 
     def test_pauli_z_phase(self):
@@ -50,21 +49,21 @@ class TestApply:
         assert np.allclose(out.amplitudes, [0, -1])
 
     def test_hadamard(self):
-        out = apply(zero_state(1), H, [0])
+        out = apply(basis_state(1, 0), H, [0])
         assert np.allclose(out.amplitudes, [1 / math.sqrt(2)] * 2)
 
     def test_target_addressing(self):
         # X on qubit 1 of |00> flips the least significant bit
-        out = apply(zero_state(2), X, [1])
+        out = apply(basis_state(2, 0), X, [1])
         assert np.allclose(out.amplitudes, [0, 1, 0, 0])
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            apply(zero_state(2), X, [0, 1])
+            apply(basis_state(2, 0), X, [0, 1])
         with pytest.raises(ValueError):
-            apply(zero_state(2), X, [5])
+            apply(basis_state(2, 0), X, [5])
         with pytest.raises(ValueError):
-            apply(zero_state(2), controlled(X), [0, 0])
+            apply(basis_state(2, 0), controlled(X), [0, 0])
 
 
 class TestUnitaryOp:
@@ -101,7 +100,7 @@ class TestQft:
         assert np.allclose(F.matrix @ Fi.matrix, np.eye(8), atol=1e-10)
 
     def test_uniform_superposition(self):
-        out = apply(zero_state(2), qft(2), [0, 1])
+        out = apply(basis_state(2, 0), qft(2), [0, 1])
         assert np.allclose(out.amplitudes, 0.5)
 
     def test_fast_path_matches_dense(self):
@@ -211,17 +210,16 @@ class TestEigenbasisQpe:
         phases = -w * t / (2 * math.pi)
         if snap:
             phases = np.round(phases * 2**n_bits) / 2**n_bits
-        q = n_bits + k + rest
-        order = [int(i) for i in rng.permutation(q)]
-        phase, system = order[:n_bits], order[n_bits:n_bits + k]
+        # the rest qubits lead, then the phase register, then the system
+        q = rest + n_bits + k
         amps = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
         state = StateVector(q, amps / np.linalg.norm(amps))
         eig = (V, phases)
         for inverse, kernel in ((False, qpe_forward), (True, qpe_inverse)):
-            got = kernel(state, eig, phase, system).amplitudes
-            ref = gate_level_qpe(state, eig, phase, system, inverse).amplitudes
+            got = kernel(state, eig, n_bits).amplitudes
+            ref = gate_level_qpe(state, eig, n_bits, inverse).amplitudes
             assert np.max(np.abs(got - ref)) <= 1e-11
-        back = qpe_inverse(qpe_forward(state, eig, phase, system), eig, phase, system)
+        back = qpe_inverse(qpe_forward(state, eig, n_bits), eig, n_bits)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
 
 
@@ -234,7 +232,7 @@ class TestMeasure:
 
     def test_uniform_statistics(self):
         rng = np.random.default_rng(123)
-        st = apply(zero_state(1), H, [0])
+        st = apply(basis_state(1, 0), H, [0])
         ones = sum(measure(st, [0], rng)[0][0] for _ in range(10_000))
         assert abs(ones / 10_000 - 0.5) < 0.02
 
@@ -248,7 +246,7 @@ class TestMeasure:
 
     def test_collapse_renormalizes(self):
         rng = np.random.default_rng(2)
-        st = apply(apply(zero_state(2), H, [0]), H, [1])
+        st = apply(apply(basis_state(2, 0), H, [0]), H, [1])
         _, post = measure(st, [0], rng)
         assert post.norm == pytest.approx(1.0, abs=1e-12)
 
@@ -260,7 +258,7 @@ class TestInfrastructure:
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            zero_state(25)
+            StateVector(25, np.zeros(1))
 
     def test_twos_complement(self):
         assert twos_complement(3, 3) == 3
