@@ -16,16 +16,14 @@ from .linalg import (
 from .statevector import CapacityError, StateVector
 from .amplitude import estimate_theta
 from .hhl import (
-    HhlConfig,
-    NormEstimates,
     SpectrumResolutionError,
     apply_A_state,
-    estimate_norms,
     estimate_residual_norm,
     estimate_solution_norm,
     hhl_solution_state,
     prepare_b_state,
     residual_state,
+    rotation_constant,
 )
 from .search import (
     LCurvePoint,

@@ -152,8 +152,10 @@ def run(config: RunConfig) -> RunReport:
                      "chosen_mu": float(result.chosen_mu)}
         queries = result.queries_used
 
+    # a file input has no generator size or noise to record
+    unrecorded = ("out", "m", "n", "noise") if config.matrix_file is not None else ("out",)
     report = RunReport(
-        config={k: v for k, v in asdict(config).items() if k != "out"},
+        config={k: v for k, v in asdict(config).items() if k not in unrecorded},
         rows=rows,
         selection=selection,
         queries_used=int(queries),

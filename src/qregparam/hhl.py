@@ -14,11 +14,14 @@ phase-estimation leakage that no error budget accounts for.  A register too
 narrow to give each eigenvalue its own cell raises SpectrumResolutionError.
 The states follow the statevector layout [flags, phase, system]: each
 rotated ancilla is a fresh flag inserted above the phase register.
+
+Each stage takes the state it transforms: the solver state is built once
+per mu, apply_A_state and residual_state extend it, and both estimators read
+it.  C~ (rotation_constant) and the evolution time come from the classical SVD.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,57 +40,30 @@ from .statevector import (
 )
 
 _ZERO_EIG_TOL = 1e-12
+ZERO_MATRIX = ("A is the zero matrix: sigma_max = 0 leaves nothing to scale the A x "
+               "and residual states by")
 
 
 class SpectrumResolutionError(RuntimeError):
     """Phase register too narrow to separate the dilation eigenvalues."""
 
 
-@dataclass
-class HhlConfig:
-    """Phase-register width, rotation constant, and evolution time scaling."""
+def rotation_constant(ext: ExtendedMatrix) -> float:
+    """C~, read off the classical SVD (a simulator privilege).
 
-    n_phase_bits: int
-    c_tilde: float
-    sigma_max: float
-    t_evolution: float
-
-    @classmethod
-    def for_extended(cls, ext: ExtendedMatrix, n_phase_bits: int = 6) -> "HhlConfig":
-        """Derive the constants from the classical SVD (a simulator privilege).
-
-        c_tilde is the smallest nonzero dilation eigenvalue magnitude, the
-        largest value that keeps every rotation amplitude c_tilde/lambda <= 1.
-        """
-        sigma = ext.svd.sigma
-        smax = ext.svd.sigma_max
-        if smax == 0:
-            raise ValueError("A is the zero matrix: sigma_max = 0 leaves nothing to "
-                             "scale the A x and residual states by")
-        mu = ext.mu
+    C~ is the smallest nonzero dilation eigenvalue magnitude, the largest
+    value that keeps every rotation amplitude C~/lambda <= 1.
+    """
+    sigma = ext.svd.sigma
+    smax = ext.svd.sigma_max
+    if smax == 0:
+        raise ValueError(ZERO_MATRIX)
+    if ext.mu > 0:
         # nonzero dilation eigenvalues are +-sqrt(sigma_i^2 + mu^2), i = 1..n,
         # padding sigma_i = 0 beyond min(m, n)
         tail = 0.0 if ext.n > sigma.size else float(sigma[ext.n - 1])
-        if mu > 0:
-            lam_min = math.sqrt(tail**2 + mu**2)
-        else:
-            lam_min = float(sigma[sigma > 1e-12 * smax][-1])
-        lam_max = math.sqrt(smax**2 + mu**2)
-        return cls(
-            n_phase_bits=n_phase_bits,
-            c_tilde=lam_min,
-            sigma_max=smax,
-            t_evolution=math.pi / (2.0 * lam_max),
-        )
-
-
-@dataclass
-class NormEstimates:
-    """Amplitude-estimated solution and residual norms with the query budget spent."""
-
-    solution_norm: float
-    residual_norm: float
-    queries_used: int
+        return math.sqrt(tail**2 + ext.mu**2)
+    return float(sigma[sigma > 1e-12 * smax][-1])
 
 
 def prepare_b_state(b: np.ndarray, width: int) -> StateVector:
@@ -166,62 +142,60 @@ def _add_flag(state: StateVector, amps_by_cell: np.ndarray, k: int) -> StateVect
     return StateVector(state.num_qubits + 1, out.reshape(-1))
 
 
-def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig) -> StateVector:
+def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) -> StateVector:
     """The solver state: good flag |0> branch carries C~ ||x_mu|| |x_mu>.
 
     Register order: [ancilla, phase (n_phase_bits), system (dilation,
     padded)].  The x block occupies system coordinates m+n .. m+2n-1.
-    Forward phase estimation runs before the ancilla exists.
+    Forward phase estimation runs before the ancilla exists, with
+    t = pi / (2 sqrt(sigma_max^2 + mu^2)).
     """
+    c_tilde = rotation_constant(ext)
+    t = math.pi / (2.0 * math.sqrt(ext.svd.sigma_max**2 + ext.mu**2))
     Hd, k = _padded(ext.dilation)
-    n = cfg.n_phase_bits
-    eig, lam = _phase_cells(Hd, cfg.t_evolution, n)
+    n = n_phase_bits
+    eig, lam = _phase_cells(Hd, t, n)
     lam_min = float(np.min(np.abs(lam[lam != 0]), initial=np.inf))
-    if cfg.c_tilde > lam_min * (1 + 1e-9):
+    if c_tilde > lam_min * (1 + 1e-9):
         raise ValueError(
-            f"c_tilde {cfg.c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
+            f"c_tilde {c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
         )
     _check_capacity(n + k + 1)
     amps = np.zeros(2 ** (n + k), dtype=complex)
     amps[: 2**k] = prepare_b_state(b, k).amplitudes  # phase register |0>
     state = qpe_forward(StateVector(n + k, amps), eig, n)
-    amps = np.divide(cfg.c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
+    amps = np.divide(c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
     state = _add_flag(state, np.clip(amps, -1.0, 1.0), k)
     return qpe_inverse(state, eig, n)
 
 
-def apply_A_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
-                  solution: StateVector | None = None) -> StateVector:
+def apply_A_state(solution: StateVector, ext: ExtendedMatrix) -> StateVector:
     """Good branch (both ancillas |0>) proportional to A x_mu with amplitude C ||x_mu||.
 
-    Register order: [hhl ancilla, multiply ancilla, phase, system].
-    solution is hhl_solution_state(ext, b, cfg) when the caller already has it.
+    solution is hhl_solution_state(ext, b, n_phase_bits); its phase width is
+    reused.  Register order: [hhl ancilla, multiply ancilla, phase, system].
     """
-    state = hhl_solution_state(ext, b, cfg) if solution is None else solution
-    n = cfg.n_phase_bits
-    k = state.num_qubits - n - 1
-    _check_capacity(n + k + 2)
     # the dilation of A alone: the (m, n, n) layout of ext.dilation at mu = 0
-    Ha, _ = _padded(_dilation(ext.A, 0.0))
-    smax = cfg.sigma_max
+    Ha, k = _padded(_dilation(ext.A, 0.0))
+    n = solution.num_qubits - k - 1
+    _check_capacity(n + k + 2)
+    smax = ext.svd.sigma_max
     eig2, lam2 = _phase_cells(Ha, math.pi / (2.0 * smax), n)
-    state = qpe_forward(state, eig2, n)
+    state = qpe_forward(solution, eig2, n)
     state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0), k)
     return qpe_inverse(state, eig2, n)
 
 
-def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
-                   solution: StateVector | None = None) -> StateVector:
+def residual_state(solution: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:
     """All-ancillas-zero component equals (t/2)(||x_mu|| A|x_mu> - |b>), b normalized.
 
-    Register order: [hhl ancilla, multiply ancilla, selector, rotation qubit,
-    phase, system]; the good flag is the four leading qubits, so the good
-    branch is the first 2^(n+k) amplitudes.
-    solution is hhl_solution_state(ext, b, cfg) when the caller already has it.
+    solution is hhl_solution_state(ext, b, n_phase_bits).  Register order:
+    [hhl ancilla, multiply ancilla, selector, rotation qubit, phase, system];
+    the good flag is the four leading qubits, so the good branch is the first
+    2^(n+k) amplitudes.
     """
-    psi = apply_A_state(ext, b, cfg, solution)
-    n = cfg.n_phase_bits
-    k = psi.num_qubits - n - 2
+    psi = apply_A_state(solution, ext)
+    _, k = _padded(ext.dilation)
     _check_capacity(psi.num_qubits + 2)
     # Step 1: a selector qubit whose |0> carries psi and |1> carries -|b>
     # (phase 0, ancillas 00).  Step 2: amplitude balancing rotates a fresh
@@ -230,7 +204,7 @@ def residual_state(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
     # the selector.  Together: selector s, rotation qubit r carry
     # (col0[r] psi - col1[r] b) for s = 0 and (col0[r] psi + col1[r] b) for s = 1.
     # psi's two ancillas (its leading qubits) stay the two leading rows.
-    C = cfg.c_tilde / cfg.sigma_max
+    C = rotation_constant(ext) / ext.svd.sigma_max
     t = min(1.0, C)
     a0, a1 = t / C, t
     col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
@@ -254,47 +228,34 @@ def _estimate(state: StateVector, n_flags: int, epsilon_int: float,
     return math.cos(theta_tilde), ae_query_count(n_ae, repeats)
 
 
-def estimate_solution_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
-                           epsilon: float, rng: np.random.Generator, repeats: int = 1,
-                           solution: StateVector | None = None) -> tuple[float, int]:
+def estimate_solution_norm(solution: StateVector, ext: ExtendedMatrix, b: np.ndarray,
+                           epsilon: float, rng: np.random.Generator, repeats: int = 1
+                           ) -> tuple[float, int]:
     """(||x_mu|| to within epsilon * ||b||, queries), by amplitude estimation.
 
-    The good flag is the solver state's ancilla, its first qubit.  solution is
-    hhl_solution_state(ext, b, cfg) when the caller already has it.
+    solution is hhl_solution_state(ext, b, n_phase_bits); its good flag is
+    the ancilla, its first qubit.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    state = hhl_solution_state(ext, b, cfg) if solution is None else solution
-    cos_t, queries = _estimate(state, 1, cfg.c_tilde * epsilon, rng, repeats)
+    c_tilde = rotation_constant(ext)
+    cos_t, queries = _estimate(solution, 1, c_tilde * epsilon, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
-    return cos_t / cfg.c_tilde * b_norm, queries
+    return cos_t / c_tilde * b_norm, queries
 
 
-def estimate_residual_norm(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig,
-                           epsilon: float, rng: np.random.Generator, repeats: int = 1,
-                           solution: StateVector | None = None) -> tuple[float, int]:
+def estimate_residual_norm(solution: StateVector, ext: ExtendedMatrix, b: np.ndarray,
+                           epsilon: float, rng: np.random.Generator, repeats: int = 1
+                           ) -> tuple[float, int]:
     """(||A x_mu - b|| to within epsilon * ||b||, queries).
 
-    The good flags are the residual state's four ancillas, its first four
-    qubits.  solution is hhl_solution_state(ext, b, cfg) when the caller
-    already has it.
+    solution is hhl_solution_state(ext, b, n_phase_bits).  The good flags
+    are the residual state's four ancillas, its first four qubits.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    state = residual_state(ext, b, cfg, solution)
-    t = min(1.0, cfg.c_tilde / cfg.sigma_max)
+    state = residual_state(solution, ext, b)
+    t = min(1.0, rotation_constant(ext) / ext.svd.sigma_max)
     cos_t, queries = _estimate(state, 4, epsilon * t / 2.0, rng, repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
     return 2.0 * cos_t / t * b_norm, queries
-
-
-def estimate_norms(ext: ExtendedMatrix, b: np.ndarray, cfg: HhlConfig, epsilon: float,
-                   rng: np.random.Generator, repeats: int = 1) -> NormEstimates:
-    """Both norm estimators in one call, with combined query accounting.
-
-    The solver state is built once and shared by the two estimators.
-    """
-    solution = hhl_solution_state(ext, b, cfg)
-    sol, q1 = estimate_solution_norm(ext, b, cfg, epsilon, rng, repeats, solution)
-    res, q2 = estimate_residual_norm(ext, b, cfg, epsilon, rng, repeats, solution)
-    return NormEstimates(solution_norm=sol, residual_norm=res, queries_used=q1 + q2)

@@ -22,7 +22,6 @@ class RegularizedProblem:
 
     A: np.ndarray
     b: np.ndarray
-    noise_level: float | None = None
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
@@ -33,8 +32,6 @@ class RegularizedProblem:
             raise ValueError(f"matrix must be nonempty, got shape {self.A.shape}")
         if self.b.shape[0] != m:
             raise ValueError(f"b has {self.b.shape[0]} entries, expected {m}")
-        if self.noise_level is not None and self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
         if self.x_true is not None:
             self.x_true = np.asarray(self.x_true, dtype=complex).ravel()
             if self.x_true.shape[0] != n:
@@ -103,8 +100,8 @@ class ExtendedMatrix:
 
     mu: float
     dilation: np.ndarray
-    A: np.ndarray = field(repr=False, default=None)
-    svd: SvdFactorization = field(repr=False, default=None)
+    A: np.ndarray = field(repr=False)
+    svd: SvdFactorization = field(repr=False)
 
     @property
     def m(self) -> int:

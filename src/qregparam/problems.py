@@ -42,4 +42,4 @@ def generate_problem(kind: str, m: int, n: int, noise: float, seed: int,
     b = A @ x_true
     if noise > 0:
         b = b + noise * rng.standard_normal(m)
-    return RegularizedProblem(A=A, b=b, noise_level=noise, x_true=x_true)
+    return RegularizedProblem(A=A, b=b, x_true=x_true)

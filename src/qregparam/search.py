@@ -25,11 +25,12 @@ from typing import Any, Callable
 import numpy as np
 
 from .hhl import (
-    HhlConfig,
+    ZERO_MATRIX,
     _padded,
     _phase_cells,
-    estimate_norms,
     estimate_residual_norm,
+    estimate_solution_norm,
+    hhl_solution_state,
 )
 from .linalg import (
     ExtendedMatrix,
@@ -42,7 +43,7 @@ from .linalg import (
     _gcv_trace,
     tikhonov_solve,
 )
-from .statevector import MAX_QUBITS, CapacityError, _check_capacity, twos_complement
+from .statevector import MAX_QUBITS, CapacityError, _check_capacity
 
 
 @dataclass
@@ -133,8 +134,8 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator,
 
 
 def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
-           n_phase_bits: int, step: Callable[[ExtendedMatrix, HhlConfig], Any]) -> Any:
-    """Run step(ext, cfg) on (A; mu I) with its derived HhlConfig.
+           step: Callable[[ExtendedMatrix], Any]) -> Any:
+    """Run step(ext) on ext = (A; mu I).
 
     svd = compute_svd(problem.A), factored once per pipeline.  A ValueError or
     RuntimeError keeps its type and gains "(at mu = ...)"; any other
@@ -142,7 +143,7 @@ def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
     """
     ext = build_extended(problem.A, mu, svd)
     try:
-        return step(ext, HhlConfig.for_extended(ext, n_phase_bits=n_phase_bits))
+        return step(ext)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{exc} (at mu = {mu:g})") from exc
 
@@ -155,18 +156,22 @@ def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bi
     translation shifts the two L-curve axes before the corner criterion is
     evaluated (caller-supplied; default zero).
     """
+    def norms(ext: ExtendedMatrix) -> tuple[float, float, int]:
+        solution = hhl_solution_state(ext, problem.b, n_phase_bits)
+        sol, q_sol = estimate_solution_norm(solution, ext, problem.b, epsilon, rng, repeats)
+        res, q_res = estimate_residual_norm(solution, ext, problem.b, epsilon, rng, repeats)
+        return sol, res, q_sol + q_res
+
     points = []
     criterion = np.empty(grid.p)
     queries = 0
     dx, dr = translation
     svd = compute_svd(problem.A)
     for j, mu in enumerate(grid.mus):
-        est = _at_mu(problem, svd, float(mu), n_phase_bits, lambda ext, cfg: estimate_norms(
-            ext, problem.b, cfg, epsilon, rng, repeats))
-        sol, res = est.solution_norm, est.residual_norm
+        sol, res, q = _at_mu(problem, svd, float(mu), norms)
         points.append(LCurvePoint(mu=float(mu), residual_norm=res, solution_norm=sol))
         criterion[j] = (sol - dx) ** 2 + (res - dr) ** 2
-        queries += est.queries_used
+        queries += q
     result = durr_hoyer_min(criterion, rng, mus=grid.mus)
     result.queries_used += queries
     result.points = points
@@ -202,7 +207,7 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not np.any(ext.A):
-        raise ValueError("zero matrix has no singular values to sample")
+        raise ValueError(ZERO_MATRIX)
     Hd, k = _padded(ext.dilation)
     w = np.linalg.eigvalsh(Hd) if eigvals is None else eigvals
     lam_max = float(np.max(np.abs(w)))
@@ -225,17 +230,18 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
     probs = np.bincount(np.rint(phases * N).astype(int), minlength=N) * lam_by_cell**2
     probs = probs / probs.sum()
     outcomes = rng.choice(N, size=shots, p=probs)
-    counts: dict[float, int] = {}
-    for y in outcomes:
-        mag = abs(twos_complement(int(y), n_bits))
-        if mag:
-            counts[mag] = counts.get(mag, 0) + 1
-    if len(counts) < r:
+    # in place, each outcome y becomes |y read in two's complement|: N - y above N/2
+    np.subtract(N, outcomes, out=outcomes, where=outcomes > N // 2)
+    counts = np.bincount(outcomes, minlength=N // 2 + 1)
+    cells = np.flatnonzero(counts[1:]) + 1
+    if cells.size < r:
         raise RuntimeError(
-            f"only {len(counts)} distinct singular-value clusters found after "
+            f"only {cells.size} distinct singular-value clusters found after "
             f"{shots} shots; need {r}"
         )
-    top_cells = sorted(counts, key=counts.get, reverse=True)[:r]
+    # most counted first; ties in order of first appearance
+    first = {int(c): int(np.argmax(outcomes == c)) for c in cells}
+    top_cells = sorted(first, key=lambda c: (-counts[c], first[c]))[:r]
     sigma_tilde = np.array([2 * math.pi * c / (2**n_bits * t) for c in top_cells])
     sigma = np.sqrt(np.maximum(sigma_tilde**2 - ext.mu**2, 0.0))
     return np.sort(sigma)[::-1]
@@ -245,7 +251,7 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
                  n_phase_bits: int, epsilon: float, rng: np.random.Generator,
                  repeats: int = 5) -> SelectionResult:
     """Singular-value extraction, parallel residual estimation, min of G(mu_j)."""
-    def sample(ext: ExtendedMatrix, _cfg: HhlConfig) -> tuple[int, np.ndarray]:
+    def sample(ext: ExtendedMatrix) -> tuple[int, np.ndarray]:
         eigvals = np.linalg.eigvalsh(_padded(ext.dilation)[0])
         w = np.abs(eigvals)
         nz = np.sort(w[w > 1e-12 * w.max()])
@@ -253,14 +259,16 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
         k = max(10 * r, math.ceil(10 * r * ratio))
         return k, principal_singular_values(ext, r, n_phase_bits, k, rng, eigvals)
 
+    def residual(ext: ExtendedMatrix) -> tuple[float, int]:
+        solution = hhl_solution_state(ext, problem.b, n_phase_bits)
+        return estimate_residual_norm(solution, ext, problem.b, epsilon, rng, repeats)
+
     svd = compute_svd(problem.A)
-    shots, sigma_est = _at_mu(problem, svd, float(grid.mus[0]), n_phase_bits, sample)
+    shots, sigma_est = _at_mu(problem, svd, float(grid.mus[0]), sample)
     criterion = np.empty(grid.p)
     queries = shots
     for j, mu in enumerate(grid.mus):
-        res, q = _at_mu(problem, svd, float(mu), n_phase_bits,
-                        lambda ext, cfg: estimate_residual_norm(
-                            ext, problem.b, cfg, epsilon, rng, repeats))
+        res, q = _at_mu(problem, svd, float(mu), residual)
         criterion[j] = gcv_lowrank(sigma_est, res**2, problem.m, problem.n, float(mu))
         queries += q
     result = durr_hoyer_min(criterion, rng, mus=grid.mus)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qregparam import HhlConfig, RegularizedProblem, build_extended
+from qregparam import RegularizedProblem, build_extended
 from qregparam.statevector import UnitaryOp, _ladder_forward
 
 from reference import _ladder_inverse
@@ -14,8 +14,7 @@ def worked_problem():
     A = np.diag([1.0, 0.5])
     b = np.array([1.0, 0.0])
     ext = build_extended(A, 0.5)
-    cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
-    return ext, b, cfg
+    return ext, b, 5
 
 
 def random_problem(rng, m, n, rank_deficient=False):

@@ -4,8 +4,9 @@ The library evaluates phase estimation in the eigenbasis and the amplitude
 estimation readout as a closed-form Fejer kernel.  The code here simulates
 the same circuits the long way: dense QFT matrices, exact Hamiltonian
 evolution, Born-rule measurement, the inverse controlled-power ladder and
-the full Grover circuit.  solution_block reads the x block out of a solver
-state.  Nothing under src/ imports this module.
+the full Grover circuit.  top_magnitude_cells tallies phase-register shots
+one at a time.  solution_block reads the x block out of a solver state.
+Nothing under src/ imports this module.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from qregparam.amplitude import fold_register
-from qregparam.hhl import HhlConfig
 from qregparam.linalg import ExtendedMatrix
 from qregparam.statevector import (
     H,
@@ -24,6 +24,7 @@ from qregparam.statevector import (
     apply,
     controlled,
     phase_estimation,
+    twos_complement,
 )
 
 # common single-qubit gates (H stays with the simulator, whose ladder uses it)
@@ -118,9 +119,28 @@ def estimate_theta_full_circuit(amplitudes: np.ndarray, flag_qubits: Sequence[in
     return fold_register(int("".join(map(str, bits)), 2), n_bits)
 
 
-def solution_block(state: StateVector, ext: ExtendedMatrix, cfg: HhlConfig) -> np.ndarray:
-    """The x-block of the good branch of hhl_solution_state (unnormalized)."""
-    n, m, nn = cfg.n_phase_bits, ext.m, ext.n
+def top_magnitude_cells(outcomes: Sequence[int], n_bits: int, r: int) -> list[int]:
+    """The r most counted nonzero |two's complement| register values, shot by shot.
+
+    Ties keep the order of first appearance (sorted is stable); the reference
+    for the vectorized tally in principal_singular_values.
+    """
+    counts: dict[int, int] = {}
+    for y in outcomes:
+        mag = abs(twos_complement(int(y), n_bits))
+        if mag:
+            counts[mag] = counts.get(mag, 0) + 1
+    if len(counts) < r:
+        raise RuntimeError(
+            f"only {len(counts)} distinct singular-value clusters found after "
+            f"{len(outcomes)} shots; need {r}"
+        )
+    return sorted(counts, key=counts.get, reverse=True)[:r]
+
+
+def solution_block(state: StateVector, ext: ExtendedMatrix, n: int) -> np.ndarray:
+    """The x-block of the good branch of hhl_solution_state(ext, b, n) (unnormalized)."""
+    m, nn = ext.m, ext.n
     k = state.num_qubits - n - 1
     psi = state.amplitudes.reshape(2, 2**n, 2**k)
     return psi[0, 0, m + nn:m + 2 * nn]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from qregparam import (
-    HhlConfig,
     ParameterGrid,
     build_extended,
     classical_select,
@@ -23,6 +22,7 @@ from qregparam import (
     generate_problem,
     hhl_solution_state,
     lcurve_pipeline,
+    rotation_constant,
     tikhonov_solve,
     tsvd_solve,
 )
@@ -113,7 +113,7 @@ def test_04_amplitude_estimation_bound():
     report(4, "amplitude-estimation bound", ok)
 
 
-def flag_zero_mass(state, cfg):
+def flag_zero_mass(state):
     flags = (0,)  # the solver state's ancilla
     probs = np.abs(state.amplitudes) ** 2
     idx = np.arange(probs.size)
@@ -135,11 +135,10 @@ def test_05_hhl_good_branch_identity():
     ]
     for A, mu, b in cases:
         ext = build_extended(A, mu)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=6)
-        st = hhl_solution_state(ext, b, cfg)
+        st = hhl_solution_state(ext, b, 6)
         oracle = tikhonov_solve(ext.svd, b, mu)
-        expect = cfg.c_tilde**2 * oracle.solution_norm**2 / np.linalg.norm(b) ** 2
-        ok &= abs(flag_zero_mass(st, cfg) - expect) <= 1e-8
+        expect = rotation_constant(ext)**2 * oracle.solution_norm**2 / np.linalg.norm(b) ** 2
+        ok &= abs(flag_zero_mass(st) - expect) <= 1e-8
     # the worked value itself
     ext = build_extended(np.diag([1.0, 0.5]), 0.5)
     sol = tikhonov_solve(ext.svd, np.array([1.0, 0.0]), 0.5)
@@ -150,16 +149,16 @@ def test_05_hhl_good_branch_identity():
 def test_06_norm_estimators():
     ext = build_extended(np.diag([1.0, 0.5]), 0.5)
     b = np.array([1.0, 0.0])
-    cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
+    solution = hhl_solution_state(ext, b, 5)
     eps = 0.05
     sol_hits = sum(
-        abs(estimate_solution_norm(ext, b, cfg, eps, np.random.default_rng(s))[0] - 0.8)
-        <= eps
+        abs(estimate_solution_norm(solution, ext, b, eps, np.random.default_rng(s))[0]
+            - 0.8) <= eps
         for s in range(100)
     )
     res_hits = sum(
-        abs(estimate_residual_norm(ext, b, cfg, eps, np.random.default_rng(s))[0] - 0.2)
-        <= eps
+        abs(estimate_residual_norm(solution, ext, b, eps, np.random.default_rng(s))[0]
+            - 0.2) <= eps
         for s in range(100)
     )
     ok = sol_hits >= 80 and res_hits >= 80

@@ -1,24 +1,22 @@
 """Solver states on the extended matrix and the amplitude-estimated norms."""
-import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qregparam import (
-    HhlConfig,
     SpectrumResolutionError,
     apply_A_state,
     build_extended,
     compute_svd,
-    estimate_norms,
     estimate_residual_norm,
     estimate_solution_norm,
     hhl_solution_state,
     prepare_b_state,
     residual_state,
+    rotation_constant,
     tikhonov_solve,
 )
 from qregparam import hhl
@@ -72,46 +70,69 @@ class TestPrepareBState:
 class TestSolutionState:
     def test_identity_system(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
-        st = hhl_solution_state(ext, np.array([1.0]), cfg)
-        blk = solution_block(st, ext, cfg)
-        assert abs(blk[0]) == pytest.approx(cfg.c_tilde * 1.0, abs=1e-10)
+        st = hhl_solution_state(ext, np.array([1.0]), 4)
+        blk = solution_block(st, ext, 4)
+        assert abs(blk[0]) == pytest.approx(rotation_constant(ext) * 1.0, abs=1e-10)
         assert flag_zero_mass(st, [0]) == pytest.approx(
-            cfg.c_tilde**2, abs=1e-10)
+            rotation_constant(ext)**2, abs=1e-10)
 
     def test_worked_flag_mass_and_block(self, worked_problem):
-        ext, b, cfg = worked_problem
-        st = hhl_solution_state(ext, b, cfg)
+        ext, b, n_bits = worked_problem
+        st = hhl_solution_state(ext, b, n_bits)
         assert flag_zero_mass(st, [0]) == pytest.approx(
-            cfg.c_tilde**2 * 0.64, abs=1e-10)
-        blk = solution_block(st, ext, cfg)
+            rotation_constant(ext)**2 * 0.64, abs=1e-10)
+        blk = solution_block(st, ext, n_bits)
         x_oracle = tikhonov_solve(ext.svd, b, 0.5).x
-        assert np.allclose(blk, cfg.c_tilde * x_oracle, atol=1e-10)
+        assert np.allclose(blk, rotation_constant(ext) * x_oracle, atol=1e-10)
 
     def test_singular_vector_input_maps_to_partner(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((2, 2))
         svd = compute_svd(A)
         ext = build_extended(A, 0.3)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=6)
         b = svd.U[:, 0].real
-        st = hhl_solution_state(ext, b, cfg)
-        blk = solution_block(st, ext, cfg)
+        st = hhl_solution_state(ext, b, 6)
+        blk = solution_block(st, ext, 6)
         direction = blk / np.linalg.norm(blk)
         overlap = abs(np.vdot(direction, svd.V[:, 0]))
         assert overlap >= 1 - 1e-6
 
     def test_narrow_register_reports_gap(self):
         ext = build_extended(np.diag([1.0, 0.999]), 0.01)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=3)
         with pytest.raises(SpectrumResolutionError, match="gap"):
-            hhl_solution_state(ext, np.array([1.0, 0.0]), cfg)
+            hhl_solution_state(ext, np.array([1.0, 0.0]), 3)
 
-    def test_c_tilde_ceiling_enforced(self, worked_problem):
-        ext, b, _ = worked_problem
-        cfg = dataclasses.replace(HhlConfig.for_extended(ext, n_phase_bits=5), c_tilde=2.0)
+    def test_c_tilde_ceiling_enforced(self, worked_problem, monkeypatch):
+        ext, b, n_bits = worked_problem
+        monkeypatch.setattr(hhl, "rotation_constant", lambda ext: 2.0)
         with pytest.raises(ValueError, match="c_tilde"):
-            hhl_solution_state(ext, b, cfg)
+            hhl_solution_state(ext, b, n_bits)
+
+
+class TestRotationConstant:
+    """C~ read off the SVD is the smallest nonzero |eigenvalue| of the dilation."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+           rank_deficient=st.booleans(), real=st.booleans(), zero_mu=st.booleans())
+    def test_smallest_nonzero_eigenvalue(self, seed, m, n, rank_deficient, real, zero_mu):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
+        A = prob.A.real if real else prob.A
+        mu = 0.0 if zero_mu else float(rng.uniform(0.2, 1.5))
+        ext = build_extended(A, mu)
+        sigma = ext.svd.sigma
+        if zero_mu:
+            # far above the SVD rank cut and the phase cells' zero tolerance
+            nonzero = sigma[sigma > 1e-9 * sigma[0]]
+            assume(nonzero[-1] >= 1e-2 * sigma[0])
+        w = np.abs(np.linalg.eigvalsh(ext.dilation))
+        lam_min = w[w > 1e-9 * max(w.max(), 1.0)].min()
+        assert rotation_constant(ext) == pytest.approx(lam_min, rel=1e-12)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="A is the zero matrix"):
+            rotation_constant(build_extended(np.zeros((3, 2)), 0.5))
 
 
 class TestPhaseCells:
@@ -119,9 +140,9 @@ class TestPhaseCells:
 
     def test_degenerate_spectrum_shares_one_cell(self):
         ext = build_extended(np.eye(3), 0.5)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
         Hd, _ = hhl._padded(ext.dilation)
-        (_, phases), lam = hhl._phase_cells(Hd, cfg.t_evolution, 4)
+        t = math.pi / (2 * math.sqrt(ext.svd.sigma_max**2 + 0.25))
+        (_, phases), lam = hhl._phase_cells(Hd, t, 4)
         w = np.linalg.eigvalsh(Hd)
         top = math.sqrt(1.25)
         # +-sqrt(1 + mu^2), three times each, own one cell per sign
@@ -131,8 +152,9 @@ class TestPhaseCells:
             cell = phases[np.abs(w - sign * top) < 1e-9]
             assert cell.size == 3 and np.all(cell == cell[0]) and cell[0] != 0
         b = np.array([1.0, -2.0, 0.5])
-        blk = solution_block(hhl_solution_state(ext, b, cfg), ext, cfg)
-        assert np.allclose(blk, cfg.c_tilde * 0.8 * b / np.linalg.norm(b), atol=1e-12)
+        blk = solution_block(hhl_solution_state(ext, b, 4), ext, 4)
+        assert np.allclose(blk, rotation_constant(ext) * 0.8 * b / np.linalg.norm(b),
+                           atol=1e-12)
 
     def test_zero_eigenvalues_get_phase_zero(self):
         ext = build_extended(np.eye(3), 0.5)
@@ -147,11 +169,9 @@ class TestPhaseCells:
         # the solver separates sqrt(sigma^2 + mu^2); the A x stage's +-1e-4
         # rounds into cell 0
         ext = build_extended(np.diag([1.0, 1e-4]), 0.5)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=6)
-        b = np.array([1.0, 1.0])
-        solution = hhl_solution_state(ext, b, cfg)
+        solution = hhl_solution_state(ext, np.array([1.0, 1.0]), 6)
         with pytest.raises(SpectrumResolutionError, match="gap"):
-            apply_A_state(ext, b, cfg, solution)
+            apply_A_state(solution, ext)
         # a dilation's +-sigma pair also collides; a lone eigenvalue in cell 0
         # is refused as well
         with pytest.raises(SpectrumResolutionError, match="gap"):
@@ -169,12 +189,10 @@ class TestGateLevelReference:
         prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
         A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
         ext = build_extended(A, float(rng.uniform(0.2, 1.5)))
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=n_bits)
 
         def states():
-            sol = hhl_solution_state(ext, b, cfg)
-            return (sol, apply_A_state(ext, b, cfg, sol),
-                    residual_state(ext, b, cfg, sol))
+            sol = hhl_solution_state(ext, b, n_bits)
+            return sol, apply_A_state(sol, ext), residual_state(sol, ext, b)
 
         gate_level = (
             mock.patch.object(hhl, "qpe_forward",
@@ -192,7 +210,8 @@ class TestGateLevelReference:
             ref = states()
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.amplitudes - r.amplitudes)) <= 1e-11
-        assert np.array_equal(residual_state(ext, b, cfg).amplitudes, got[2].amplitudes)
+        # the later stages leave the solver state they were handed as built
+        assert np.array_equal(hhl_solution_state(ext, b, n_bits).amplitudes, got[0].amplitudes)
 
 
 class TestAngleContract:
@@ -207,11 +226,11 @@ class TestAngleContract:
         A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
         mu = float(rng.uniform(0.2, 1.5))
         ext = build_extended(A, mu)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=n_bits)
         oracle = tikhonov_solve(ext.svd, b, mu)
         b_norm = np.linalg.norm(b)
-        t = min(1.0, cfg.c_tilde / cfg.sigma_max)
-        cases = ((estimate_solution_norm, oracle.solution_norm, cfg.c_tilde),
+        c_tilde = rotation_constant(ext)
+        t = min(1.0, c_tilde / ext.svd.sigma_max)
+        cases = ((estimate_solution_norm, oracle.solution_norm, c_tilde),
                  (estimate_residual_norm, oracle.residual_norm, t / 2))
         for estimator, norm, scale in cases:
             angles = []
@@ -219,7 +238,8 @@ class TestAngleContract:
             with mock.patch.object(hhl, "estimate_theta",
                                    lambda theta, *_, **__: angles.append(theta) or theta):
                 try:
-                    got, _ = estimator(ext, b, cfg, 0.05, np.random.default_rng(0))
+                    solution = hhl_solution_state(ext, b, n_bits)
+                    got, _ = estimator(solution, ext, b, 0.05, np.random.default_rng(0))
                 except SpectrumResolutionError:  # the register cannot resolve A
                     continue
             assert math.cos(angles[0]) == pytest.approx(scale * norm / b_norm, abs=1e-10)
@@ -229,19 +249,18 @@ class TestAngleContract:
 class TestApplyAState:
     def test_identity_system_returns_b(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
-        st = apply_A_state(ext, np.array([1.0]), cfg)
-        n, k = cfg.n_phase_bits, st.num_qubits - cfg.n_phase_bits - 2
+        st = apply_A_state(hhl_solution_state(ext, np.array([1.0]), 4), ext)
+        n, k = 4, st.num_qubits - 4 - 2
         good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
-        C = cfg.c_tilde / cfg.sigma_max
+        C = rotation_constant(ext) / ext.svd.sigma_max
         assert abs(good[0]) == pytest.approx(C, abs=1e-10)
 
     def test_worked_good_branch(self, worked_problem):
-        ext, b, cfg = worked_problem
-        st = apply_A_state(ext, b, cfg)
-        n, k = cfg.n_phase_bits, st.num_qubits - cfg.n_phase_bits - 2
+        ext, b, n = worked_problem
+        st = apply_A_state(hhl_solution_state(ext, b, n), ext)
+        k = st.num_qubits - n - 2
         good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
-        C = cfg.c_tilde / cfg.sigma_max
+        C = rotation_constant(ext) / ext.svd.sigma_max
         x = tikhonov_solve(ext.svd, b, 0.5).x
         expect = np.zeros(2**k, dtype=complex)
         expect[:2] = C * (ext.A @ x)
@@ -251,24 +270,26 @@ class TestApplyAState:
         # b orthogonal to range(A): x_mu = 0 and the good branch vanishes
         A = np.array([[1.0], [0.0]])
         ext = build_extended(A, 0.4)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
-        st = apply_A_state(ext, np.array([0.0, 1.0]), cfg)
-        n, k = cfg.n_phase_bits, st.num_qubits - cfg.n_phase_bits - 2
+        st = apply_A_state(hhl_solution_state(ext, np.array([0.0, 1.0]), 5), ext)
+        n, k = 5, st.num_qubits - 5 - 2
         good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         assert np.linalg.norm(good) < 1e-10
+
+
+def residual_of(ext, b, n_bits):
+    return residual_state(hhl_solution_state(ext, b, n_bits), ext, b)
 
 
 class TestResidualState:
     def test_identity_residual_vanishes(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
-        st = residual_state(ext, np.array([1.0]), cfg)
+        st = residual_of(ext, np.array([1.0]), 4)
         assert flag_zero_mass(st, range(4)) < 1e-12
 
     def test_worked_component_norm(self, worked_problem):
-        ext, b, cfg = worked_problem
-        st = residual_state(ext, b, cfg)
-        C = cfg.c_tilde / cfg.sigma_max
+        ext, b, n_bits = worked_problem
+        st = residual_of(ext, b, n_bits)
+        C = rotation_constant(ext) / ext.svd.sigma_max
         t = min(1.0, C)
         assert math.sqrt(flag_zero_mass(st, range(4))) == pytest.approx(
             (t / 2) * 0.2, abs=1e-10)
@@ -276,70 +297,85 @@ class TestResidualState:
     def test_orthogonal_b_full_residual(self):
         A = np.array([[1.0], [0.0]])
         ext = build_extended(A, 0.4)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
-        st = residual_state(ext, np.array([0.0, 1.0]), cfg)
-        C = cfg.c_tilde / cfg.sigma_max
+        st = residual_of(ext, np.array([0.0, 1.0]), 5)
+        C = rotation_constant(ext) / ext.svd.sigma_max
         t = min(1.0, C)
         assert math.sqrt(flag_zero_mass(st, range(4))) == pytest.approx(
             t / 2, abs=1e-10)
 
     def test_state_normalized(self, worked_problem):
-        ext, b, cfg = worked_problem
-        st = residual_state(ext, b, cfg)
+        ext, b, n_bits = worked_problem
+        st = residual_of(ext, b, n_bits)
         assert st.norm == pytest.approx(1.0, abs=1e-10)
+
+
+def solution_norm(ext, b, n_bits, *args, **kwargs):
+    """estimate_solution_norm on a freshly built solver state."""
+    return estimate_solution_norm(hhl_solution_state(ext, b, n_bits), ext, b,
+                                  *args, **kwargs)
+
+
+def residual_norm(ext, b, n_bits, *args, **kwargs):
+    """estimate_residual_norm on a freshly built solver state."""
+    return estimate_residual_norm(hhl_solution_state(ext, b, n_bits), ext, b,
+                                  *args, **kwargs)
+
+
+def both_norms(ext, b, n_bits, epsilon, rng, repeats=1):
+    """The L-curve pipeline's per-mu step: both estimators on one solver state."""
+    solution = hhl_solution_state(ext, b, n_bits)
+    sol, q_sol = estimate_solution_norm(solution, ext, b, epsilon, rng, repeats)
+    res, q_res = estimate_residual_norm(solution, ext, b, epsilon, rng, repeats)
+    return sol, res, q_sol + q_res
 
 
 class TestNormEstimators:
     def test_identity_solution_norm(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
-        got, _ = estimate_solution_norm(ext, np.array([1.0]), cfg, 0.05,
-                                        np.random.default_rng(0))
+        got, _ = solution_norm(ext, np.array([1.0]), 4, 0.05,
+                               np.random.default_rng(0))
         assert got == pytest.approx(1.0, abs=0.05)
 
     def test_worked_solution_norm(self, worked_problem):
-        ext, b, cfg = worked_problem
-        got, _ = estimate_solution_norm(ext, b, cfg, 0.05, np.random.default_rng(1),
-                                        repeats=5)
+        ext, b, n_bits = worked_problem
+        got, _ = solution_norm(ext, b, n_bits, 0.05, np.random.default_rng(1),
+                               repeats=5)
         assert got == pytest.approx(0.8, abs=0.05)
 
     def test_large_mu_crushes_solution(self):
         ext = build_extended(np.array([[1.0]]), 1000.0)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
-        got, _ = estimate_solution_norm(ext, np.array([1.0]), cfg, 0.05,
-                                        np.random.default_rng(2))
+        got, _ = solution_norm(ext, np.array([1.0]), 5, 0.05,
+                               np.random.default_rng(2))
         assert got <= 0.05
 
     def test_identity_residual_norm(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=4)
-        got, _ = estimate_residual_norm(ext, np.array([1.0]), cfg, 0.05,
-                                        np.random.default_rng(3))
+        got, _ = residual_norm(ext, np.array([1.0]), 4, 0.05,
+                               np.random.default_rng(3))
         assert got == pytest.approx(0.0, abs=0.05)
 
     def test_worked_residual_norm(self, worked_problem):
-        ext, b, cfg = worked_problem
-        got, _ = estimate_residual_norm(ext, b, cfg, 0.05, np.random.default_rng(4),
-                                        repeats=5)
+        ext, b, n_bits = worked_problem
+        got, _ = residual_norm(ext, b, n_bits, 0.05, np.random.default_rng(4),
+                               repeats=5)
         assert got == pytest.approx(0.2, abs=0.05)
 
     def test_huge_mu_residual_is_b_norm(self):
         ext = build_extended(np.array([[1.0]]), 1000.0)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=5)
         b = np.array([5.0])
-        got, _ = estimate_residual_norm(ext, b, cfg, 0.05, np.random.default_rng(5))
+        got, _ = residual_norm(ext, b, 5, 0.05, np.random.default_rng(5))
         assert got == pytest.approx(5.0, abs=0.05 * 5.0)
 
     def test_combined_accounting(self, worked_problem):
-        ext, b, cfg = worked_problem
-        est = estimate_norms(ext, b, cfg, 0.05, np.random.default_rng(6))
-        assert est.queries_used > 0
-        assert est.residual_norm <= np.linalg.norm(b) + est.solution_norm * cfg.sigma_max
+        ext, b, n_bits = worked_problem
+        sol, res, queries = both_norms(ext, b, n_bits, 0.05, np.random.default_rng(6))
+        assert queries > 0
+        assert res <= np.linalg.norm(b) + sol * ext.svd.sigma_max
 
     def test_nonpositive_epsilon_rejected(self, worked_problem):
-        ext, b, cfg = worked_problem
+        ext, b, n_bits = worked_problem
         with pytest.raises(ValueError):
-            estimate_solution_norm(ext, b, cfg, 0.0, np.random.default_rng(0))
+            solution_norm(ext, b, n_bits, 0.0, np.random.default_rng(0))
 
     def test_random_problems_within_epsilon(self):
         rng = np.random.default_rng(10)
@@ -350,14 +386,11 @@ class TestNormEstimators:
             prob.b = prob.b.real
             mu = float(rng.uniform(0.2, 0.8))
             ext = build_extended(prob.A, mu)
-            cfg = HhlConfig.for_extended(ext, n_phase_bits=6)
             oracle = tikhonov_solve(ext.svd, prob.b, mu)
             b_norm = np.linalg.norm(prob.b)
             eps = 0.05
-            sol, _ = estimate_solution_norm(ext, prob.b, cfg, eps,
-                                            np.random.default_rng(s))
-            res, _ = estimate_residual_norm(ext, prob.b, cfg, eps,
-                                            np.random.default_rng(s))
+            sol, _ = solution_norm(ext, prob.b, 6, eps, np.random.default_rng(s))
+            res, _ = residual_norm(ext, prob.b, 6, eps, np.random.default_rng(s))
             hits += abs(sol - oracle.solution_norm) <= eps * b_norm
             hits += abs(res - oracle.residual_norm) <= eps * b_norm
             total += 2
@@ -370,11 +403,10 @@ class TestNormEstimators:
         sols, ress = [], []
         for mu in (0.2, 0.4, 0.8, 1.6):
             ext = build_extended(prob.A, mu)
-            cfg = HhlConfig.for_extended(ext, n_phase_bits=6)
-            est = estimate_norms(ext, prob.b, cfg, eps, np.random.default_rng(7),
-                                 repeats=3)
-            sols.append(est.solution_norm)
-            ress.append(est.residual_norm)
+            sol, res, _ = both_norms(ext, prob.b, 6, eps, np.random.default_rng(7),
+                                     repeats=3)
+            sols.append(sol)
+            ress.append(res)
         slack = 2 * eps * np.linalg.norm(prob.b)
         assert np.all(np.diff(sols) <= slack)
         assert np.all(np.diff(ress) >= -slack)

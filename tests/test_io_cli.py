@@ -1,4 +1,5 @@
 """Problem generators, Matrix Market I/O, and the command-line driver."""
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -313,6 +314,20 @@ class TestCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_file_input_report_ignores_generator_flags(self, tmp_path):
+        save_matrix(tmp_path / "A.mtx", np.diag([1.0, 0.5]))
+        save_vector(tmp_path / "b.mtx", np.array([1.0, 1.0]))
+        args = ["--method", "classical-gcv", "--matrix-file", str(tmp_path / "A.mtx"),
+                "--rhs-file", str(tmp_path / "b.mtx"), "--p", "3"]
+        digests = set()
+        for flags in (["--noise", "0.01"], ["--noise", "0.5", "--m", "7"]):
+            out = tmp_path / "report.jsonl"
+            assert main(args + flags + ["--out", str(out)]) == 0
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+            config = json.loads(out.read_text().splitlines()[0])
+            assert not {"m", "n", "noise"} & config.keys()
+        assert len(digests) == 1
 
 
 class TestReadmeExamples:

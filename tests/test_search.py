@@ -9,18 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from qregparam import (
     CapacityError,
-    HhlConfig,
     ParameterGrid,
     SpectrumResolutionError,
     build_extended,
     classical_select,
     compute_svd,
     durr_hoyer_min,
-    estimate_norms,
+    estimate_residual_norm,
+    estimate_solution_norm,
     gcv_lowrank,
     gcv_value,
     gcv_pipeline,
     generate_problem,
+    hhl_solution_state,
     lcurve_pipeline,
     tikhonov_solve,
 )
@@ -29,7 +30,7 @@ from qregparam.search import durr_hoyer_budget, principal_singular_values
 from qregparam.statevector import MAX_QUBITS, StateVector, qpe_forward
 
 from conftest import random_problem
-from reference import register_distribution
+from reference import register_distribution, top_magnitude_cells
 
 
 def statevector_register_distribution(ext, n_bits):
@@ -126,12 +127,13 @@ class TestLCurvePipeline:
                               np.random.default_rng(1), repeats=3)
         assert res.chosen_index == 0
         ext = build_extended(prob.A, 0.5)
-        cfg = HhlConfig.for_extended(ext, n_phase_bits=6)
-        standalone = estimate_norms(ext, prob.b, cfg, 0.05,
-                                    np.random.default_rng(1), repeats=3)
+        solution = hhl_solution_state(ext, prob.b, 6)
+        rng = np.random.default_rng(1)
+        sol, _ = estimate_solution_norm(solution, ext, prob.b, 0.05, rng, repeats=3)
+        res_norm, _ = estimate_residual_norm(solution, ext, prob.b, 0.05, rng, repeats=3)
         pt = res.points[0]
-        assert pt.solution_norm == pytest.approx(standalone.solution_norm, abs=1e-12)
-        assert pt.residual_norm == pytest.approx(standalone.residual_norm, abs=1e-12)
+        assert pt.solution_norm == pytest.approx(sol, abs=1e-12)
+        assert pt.residual_norm == pytest.approx(res_norm, abs=1e-12)
 
     def test_noiseless_system_prefers_small_mu(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.0, seed=4)
@@ -160,7 +162,7 @@ class TestLCurvePipeline:
         def out_of_memory(*args, **kwargs):
             raise _ArrayMemoryError((2**40,), np.dtype(complex))
 
-        monkeypatch.setattr(hhl, "hhl_solution_state", out_of_memory)
+        monkeypatch.setattr(search, "hhl_solution_state", out_of_memory)
         prob = generate_problem("geometric-spectrum", 2, 2, 0.01, seed=0)
         grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
         with pytest.raises(MemoryError):
@@ -267,6 +269,43 @@ class TestClosedFormSampling:
         assert sig == pytest.approx([1.0, 0.5], abs=1e-4)
         with pytest.raises(CapacityError, match=f"{MAX_QUBITS + 1} qubits"):
             principal_singular_values(ext, 2, MAX_QUBITS - 5, 100, np.random.default_rng(0))
+
+
+class TestShotTally:
+    """The vectorized shot tally picks the cells the per-shot loop picks."""
+
+    class FixedDraws:
+        def __init__(self, outcomes):
+            self.outcomes = outcomes
+
+        def choice(self, a, size=None, p=None):
+            return np.array(self.outcomes, dtype=np.int64)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n_bits=st.integers(4, 8), r=st.integers(1, 3), data=st.data())
+    def test_matches_per_shot_loop(self, n_bits, r, data):
+        ext = build_extended(np.diag([1.0, 0.5]), 0.5)
+        N = 2**n_bits
+        # a few register values, drawn repeatedly, so that counts tie often
+        alphabet = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=6))
+        outcomes = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=40))
+        try:
+            cells = top_magnitude_cells(outcomes, n_bits, r)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=f"^{exc}$"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    principal_singular_values(ext, r, n_bits, len(outcomes),
+                                              self.FixedDraws(outcomes))
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = principal_singular_values(ext, r, n_bits, len(outcomes),
+                                            self.FixedDraws(outcomes))
+        t = math.pi / (2.0 * math.sqrt(1.25))
+        sigma_tilde = np.array([2 * math.pi * c / (N * t) for c in cells])
+        expect = np.sort(np.sqrt(np.maximum(sigma_tilde**2 - 0.25, 0.0)))[::-1]
+        assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
 class TestGcvPipeline:
