@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .statevector import twos_complement
+from .statevector import MAX_QUBITS, CapacityError, twos_complement
 
 
 def good_branch_angle(amplitudes: np.ndarray, n_flags: int) -> float:
@@ -78,9 +78,13 @@ def estimate_theta(theta: float, n_bits: int, rng: np.random.Generator,
     """theta~: QPE on the Grover operator at angle theta, measured and folded.
 
     repeats > 1 (odd) reruns the estimate and reports the median theta~.
+    CapacityError, before any allocation, when n_bits exceeds MAX_QUBITS.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
+    if n_bits > MAX_QUBITS:
+        raise CapacityError(f"amplitude estimation on {n_bits} bits exceeds the "
+                            f"{MAX_QUBITS}-qubit capacity")
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError("repeats must be odd and >= 1")
     probs = qpe_on_grover_distribution(theta, n_bits)

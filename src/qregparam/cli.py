@@ -8,6 +8,7 @@ identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
@@ -15,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -152,10 +154,15 @@ def run(config: RunConfig) -> RunReport:
                      "chosen_mu": float(result.chosen_mu)}
         queries = result.queries_used
 
-    # a file input has no generator size or noise to record
-    unrecorded = ("out", "m", "n", "noise") if config.matrix_file is not None else ("out",)
+    # a file input is named by the SHA-256 of its bytes, not by its path, and has
+    # no generator size or noise to record
+    files = {} if config.matrix_file is None else {"matrix": config.matrix_file,
+                                                    "rhs": config.rhs_file}
+    unrecorded = ("out", "m", "n", "noise", "matrix_file", "rhs_file") if files else ("out",)
     report = RunReport(
-        config={k: v for k, v in asdict(config).items() if k not in unrecorded},
+        config={**{k: v for k, v in asdict(config).items() if k not in unrecorded},
+                **{f"{key}_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                   for key, path in files.items()}},
         rows=rows,
         selection=selection,
         queries_used=int(queries),

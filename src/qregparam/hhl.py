@@ -15,9 +15,9 @@ narrow to give each eigenvalue its own cell raises SpectrumResolutionError.
 The states follow the statevector layout [flags, phase, system]: each
 rotated ancilla is a fresh flag inserted above the phase register.
 
-Each stage takes the state it transforms: the solver state is built once
-per mu, apply_A_state and residual_state extend it, and both estimators read
-it.  C~ (rotation_constant) and the evolution time come from the classical SVD.
+The per-mu step is the chain solver -> A x -> residual: each stage takes the
+previous stage's state, and each estimator reads the state it is handed.  C~
+(rotation_constant) and the evolution time come from the classical SVD.
 """
 from __future__ import annotations
 
@@ -186,46 +186,48 @@ def apply_A_state(solution: StateVector, ext: ExtendedMatrix) -> StateVector:
     return qpe_inverse(state, eig2, n)
 
 
-def residual_state(solution: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:
+def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:
     """All-ancillas-zero component equals (t/2)(||x_mu|| A|x_mu> - |b>), b normalized.
 
-    solution is hhl_solution_state(ext, b, n_phase_bits).  Register order:
-    [hhl ancilla, multiply ancilla, selector, rotation qubit, phase, system];
-    the good flag is the four leading qubits, so the good branch is the first
-    2^(n+k) amplitudes.
+    ax is apply_A_state(solution, ext).  Register order: [hhl ancilla,
+    multiply ancilla, selector, rotation qubit, phase, system]; the good flag
+    is the four leading qubits, so the good branch is the first 2^(n+k)
+    amplitudes.
     """
-    psi = apply_A_state(solution, ext)
     _, k = _padded(ext.dilation)
-    _check_capacity(psi.num_qubits + 2)
-    # Step 1: a selector qubit whose |0> carries psi and |1> carries -|b>
+    _check_capacity(ax.num_qubits + 2)
+    # Step 1: a selector qubit whose |0> carries ax and |1> carries -|b>
     # (phase 0, ancillas 00).  Step 2: amplitude balancing rotates a fresh
     # rotation qubit by R(a0) under selector 0 and R(a1) under selector 1;
     # radicand corrected to 1 - t^2 C^-2 for unitarity.  Step 3: Hadamard on
     # the selector.  Together: selector s, rotation qubit r carry
-    # (col0[r] psi - col1[r] b) for s = 0 and (col0[r] psi + col1[r] b) for s = 1.
-    # psi's two ancillas (its leading qubits) stay the two leading rows.
+    # (col0[r] ax - col1[r] b) for s = 0 and (col0[r] ax + col1[r] b) for s = 1.
+    # ax's two ancillas (its leading qubits) stay the two leading rows.
     C = rotation_constant(ext) / ext.svd.sigma_max
     t = min(1.0, C)
     a0, a1 = t / C, t
     col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
     col1 = np.array([a1, math.sqrt(1 - a1**2)]) / 2
-    rows = psi.amplitudes.reshape(4, -1)
+    rows = ax.amplitudes.reshape(4, -1)
     out = np.empty((4, 2, 2, rows.shape[1]), dtype=complex)
     np.multiply(rows[:, np.newaxis, :], col0[:, np.newaxis], out=out[:, 0])
     out[:, 1] = out[:, 0]
     b_terms = np.outer(col1, prepare_b_state(b, k).amplitudes)
     out[0, 0, :, : 2**k] -= b_terms
     out[0, 1, :, : 2**k] += b_terms
-    return StateVector(psi.num_qubits + 2, out.reshape(-1))
+    return StateVector(ax.num_qubits + 2, out.reshape(-1))
 
 
-def _estimate(state: StateVector, n_flags: int, epsilon_int: float,
-              rng: np.random.Generator, repeats: int) -> tuple[float, int]:
-    """(cos theta~, queries) from amplitude estimation on the state's good branch."""
-    n_ae = ae_bits_for_accuracy(epsilon_int)
+def _estimate(state: StateVector, n_flags: int, scale: float, b: np.ndarray,
+              epsilon: float, rng: np.random.Generator, repeats: int) -> tuple[float, int]:
+    """(norm, queries) from the good branch, whose amplitude is scale * norm / ||b||."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    n_ae = ae_bits_for_accuracy(scale * epsilon)
     theta = good_branch_angle(state.amplitudes, n_flags)
     theta_tilde = estimate_theta(theta, n_ae, rng, repeats=repeats)
-    return math.cos(theta_tilde), ae_query_count(n_ae, repeats)
+    b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
+    return math.cos(theta_tilde) / scale * b_norm, ae_query_count(n_ae, repeats)
 
 
 def estimate_solution_norm(solution: StateVector, ext: ExtendedMatrix, b: np.ndarray,
@@ -236,26 +238,16 @@ def estimate_solution_norm(solution: StateVector, ext: ExtendedMatrix, b: np.nda
     solution is hhl_solution_state(ext, b, n_phase_bits); its good flag is
     the ancilla, its first qubit.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    c_tilde = rotation_constant(ext)
-    cos_t, queries = _estimate(solution, 1, c_tilde * epsilon, rng, repeats)
-    b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
-    return cos_t / c_tilde * b_norm, queries
+    return _estimate(solution, 1, rotation_constant(ext), b, epsilon, rng, repeats)
 
 
-def estimate_residual_norm(solution: StateVector, ext: ExtendedMatrix, b: np.ndarray,
+def estimate_residual_norm(residual: StateVector, ext: ExtendedMatrix, b: np.ndarray,
                            epsilon: float, rng: np.random.Generator, repeats: int = 1
                            ) -> tuple[float, int]:
     """(||A x_mu - b|| to within epsilon * ||b||, queries).
 
-    solution is hhl_solution_state(ext, b, n_phase_bits).  The good flags
-    are the residual state's four ancillas, its first four qubits.
+    residual is residual_state(ax, ext, b).  The good flags are its four
+    ancillas, its first four qubits.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    state = residual_state(solution, ext, b)
     t = min(1.0, rotation_constant(ext) / ext.svd.sigma_max)
-    cos_t, queries = _estimate(state, 4, epsilon * t / 2.0, rng, repeats)
-    b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
-    return 2.0 * cos_t / t * b_norm, queries
+    return _estimate(residual, 4, t / 2, b, epsilon, rng, repeats)

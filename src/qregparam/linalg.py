@@ -90,8 +90,6 @@ class TikhonovSolution:
     x: np.ndarray
     solution_norm: float
     residual_norm: float
-    rank_deficient: bool = False
-    truncation: int | None = None
 
 
 @dataclass
@@ -151,20 +149,15 @@ def _solve_with_filters(svd: SvdFactorization, b: np.ndarray,
     res_modes = np.abs((1.0 - filters) * beta[:q]) ** 2
     res_modes[~nonzero] = np.abs(beta[:q][~nonzero]) ** 2
     res_sq = float(np.sum(res_modes) + np.sum(np.abs(beta[q:]) ** 2))
-    return TikhonovSolution(
-        mu=mu,
-        x=x,
-        solution_norm=float(np.linalg.norm(x)),
-        residual_norm=math.sqrt(max(res_sq, 0.0)),
-        rank_deficient=not bool(np.all(nonzero)),
-    )
+    return TikhonovSolution(mu=mu, x=x, solution_norm=float(np.linalg.norm(x)),
+                            residual_norm=math.sqrt(max(res_sq, 0.0)))
 
 
 def tikhonov_solve(svd: SvdFactorization, b: np.ndarray, mu: float) -> TikhonovSolution:
     """Tikhonov solution with filter factors sigma^2/(sigma^2+mu^2).
 
     mu = 0 falls back to the pseudoinverse convention: exactly-zero singular
-    values contribute nothing, and the result is flagged rank-deficient.
+    values contribute nothing.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -179,9 +172,7 @@ def tsvd_solve(svd: SvdFactorization, b: np.ndarray, k: int) -> TikhonovSolution
         raise ValueError(f"truncation k={k} outside [1, numerical rank {rank}]")
     filters = np.zeros_like(svd.sigma)
     filters[:k] = 1.0
-    sol = _solve_with_filters(svd, b, filters, 0.0)
-    sol.truncation = k
-    return sol
+    return _solve_with_filters(svd, b, filters, 0.0)
 
 
 def condition_number_mu(svd: SvdFactorization, mu: float) -> float:

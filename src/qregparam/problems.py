@@ -15,7 +15,7 @@ def _random_orthonormal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_problem(kind: str, m: int, n: int, noise: float, seed: int,
-                     gamma: float = 0.5, rank: int | None = None) -> RegularizedProblem:
+                     rank: int | None = None) -> RegularizedProblem:
     """Build a seeded problem with known x_true and b = A x_true + noise * g."""
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind {kind!r}; choose from {KINDS}")
@@ -29,7 +29,7 @@ def generate_problem(kind: str, m: int, n: int, noise: float, seed: int,
         i, j = np.indices((m, n))
         A = 1.0 / (i + j + 1.0)
     else:
-        sigma = gamma ** np.arange(q, dtype=float)
+        sigma = 0.5 ** np.arange(q, dtype=float)
         if kind == "low-rank":
             r = max(1, q // 2) if rank is None else rank
             if not 1 <= r <= q:

@@ -4,11 +4,11 @@ The Grover-threshold minimum finder is simulated at the probability level:
 marked-set amplitudes after r Grover iterations are computed exactly and
 sampled, so query accounting and success statistics match the real loop.
 
-The pipelines build the per-branch solver states (one per grid value), sample
-the amplitude-estimation readout for each branch, and then run the minimum
-finder on the resulting criterion values.  Per the desk-scale concurrency
-model, the p branches are simulated independently and combined
-deterministically rather than as one tensor state.
+The pipelines run each branch's chain of states (solver, A x, residual; one
+branch per grid value), read the norms each criterion needs by amplitude
+estimation, and run the minimum finder on the criterion values.  Per the
+desk-scale concurrency model, the p branches are simulated independently and
+combined deterministically rather than as one tensor state.
 
 Before its branches, the GCV pipeline samples the singular values of A by
 phase estimation on the vectorized dilation.  Its register distribution is a
@@ -28,9 +28,11 @@ from .hhl import (
     ZERO_MATRIX,
     _padded,
     _phase_cells,
+    apply_A_state,
     estimate_residual_norm,
     estimate_solution_norm,
     hhl_solution_state,
+    residual_state,
 )
 from .linalg import (
     ExtendedMatrix,
@@ -149,28 +151,25 @@ def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
 
 
 def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bits: int,
-                    epsilon: float, rng: np.random.Generator, repeats: int = 5,
-                    translation: tuple[float, float] = (0.0, 0.0)) -> SelectionResult:
-    """Parallel norm estimation followed by minimum finding on ||x||^2 + ||r||^2.
-
-    translation shifts the two L-curve axes before the corner criterion is
-    evaluated (caller-supplied; default zero).
-    """
+                    epsilon: float, rng: np.random.Generator, repeats: int = 5
+                    ) -> SelectionResult:
+    """Parallel norm estimation followed by minimum finding on ||x||^2 + ||r||^2."""
     def norms(ext: ExtendedMatrix) -> tuple[float, float, int]:
-        solution = hhl_solution_state(ext, problem.b, n_phase_bits)
-        sol, q_sol = estimate_solution_norm(solution, ext, problem.b, epsilon, rng, repeats)
-        res, q_res = estimate_residual_norm(solution, ext, problem.b, epsilon, rng, repeats)
+        state = hhl_solution_state(ext, problem.b, n_phase_bits)
+        sol, q_sol = estimate_solution_norm(state, ext, problem.b, epsilon, rng, repeats)
+        state = apply_A_state(state, ext)
+        state = residual_state(state, ext, problem.b)
+        res, q_res = estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
         return sol, res, q_sol + q_res
 
     points = []
     criterion = np.empty(grid.p)
     queries = 0
-    dx, dr = translation
     svd = compute_svd(problem.A)
     for j, mu in enumerate(grid.mus):
         sol, res, q = _at_mu(problem, svd, float(mu), norms)
         points.append(LCurvePoint(mu=float(mu), residual_norm=res, solution_norm=sol))
-        criterion[j] = (sol - dx) ** 2 + (res - dr) ** 2
+        criterion[j] = sol**2 + res**2
         queries += q
     result = durr_hoyer_min(criterion, rng, mus=grid.mus)
     result.queries_used += queries
@@ -260,8 +259,10 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
         return k, principal_singular_values(ext, r, n_phase_bits, k, rng, eigvals)
 
     def residual(ext: ExtendedMatrix) -> tuple[float, int]:
-        solution = hhl_solution_state(ext, problem.b, n_phase_bits)
-        return estimate_residual_norm(solution, ext, problem.b, epsilon, rng, repeats)
+        state = hhl_solution_state(ext, problem.b, n_phase_bits)
+        state = apply_A_state(state, ext)
+        state = residual_state(state, ext, problem.b)
+        return estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
 
     svd = compute_svd(problem.A)
     shots, sigma_est = _at_mu(problem, svd, float(grid.mus[0]), sample)

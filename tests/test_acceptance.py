@@ -11,6 +11,7 @@ import pytest
 
 from qregparam import (
     ParameterGrid,
+    apply_A_state,
     build_extended,
     classical_select,
     compute_svd,
@@ -22,6 +23,7 @@ from qregparam import (
     generate_problem,
     hhl_solution_state,
     lcurve_pipeline,
+    residual_state,
     rotation_constant,
     tikhonov_solve,
     tsvd_solve,
@@ -150,6 +152,7 @@ def test_06_norm_estimators():
     ext = build_extended(np.diag([1.0, 0.5]), 0.5)
     b = np.array([1.0, 0.0])
     solution = hhl_solution_state(ext, b, 5)
+    residual = residual_state(apply_A_state(solution, ext), ext, b)
     eps = 0.05
     sol_hits = sum(
         abs(estimate_solution_norm(solution, ext, b, eps, np.random.default_rng(s))[0]
@@ -157,7 +160,7 @@ def test_06_norm_estimators():
         for s in range(100)
     )
     res_hits = sum(
-        abs(estimate_residual_norm(solution, ext, b, eps, np.random.default_rng(s))[0]
+        abs(estimate_residual_norm(residual, ext, b, eps, np.random.default_rng(s))[0]
             - 0.2) <= eps
         for s in range(100)
     )

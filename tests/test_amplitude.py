@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qregparam.statevector import StateVector, UnitaryOp, phase_estimation
+from qregparam import amplitude
+from qregparam.statevector import CapacityError, StateVector, UnitaryOp, phase_estimation
 from qregparam.amplitude import (
     ae_bits_for_accuracy,
     ae_query_count,
@@ -78,6 +79,14 @@ class TestEstimateTheta:
             for s in range(100)
         )
         assert hits >= 80
+
+    def test_register_beyond_capacity_fails_before_allocating(self, monkeypatch):
+        # a lowered capacity stands in for 25 or more bits, whose tables take gigabytes
+        monkeypatch.setattr(amplitude, "MAX_QUBITS", 6)
+        rng = np.random.default_rng(0)
+        assert 0 <= estimate_theta(0.3, 6, rng) <= math.pi / 2
+        with pytest.raises(CapacityError, match="on 7 bits exceeds the 6-qubit capacity"):
+            estimate_theta(0.3, 7, rng)
 
     def test_folding_invariance(self):
         for n in (3, 5):

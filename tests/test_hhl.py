@@ -192,7 +192,8 @@ class TestGateLevelReference:
 
         def states():
             sol = hhl_solution_state(ext, b, n_bits)
-            return sol, apply_A_state(sol, ext), residual_state(sol, ext, b)
+            ax = apply_A_state(sol, ext)
+            return sol, ax, residual_state(ax, ext, b)
 
         gate_level = (
             mock.patch.object(hhl, "qpe_forward",
@@ -230,16 +231,17 @@ class TestAngleContract:
         b_norm = np.linalg.norm(b)
         c_tilde = rotation_constant(ext)
         t = min(1.0, c_tilde / ext.svd.sigma_max)
-        cases = ((estimate_solution_norm, oracle.solution_norm, c_tilde),
-                 (estimate_residual_norm, oracle.residual_norm, t / 2))
-        for estimator, norm, scale in cases:
+        cases = ((estimate_solution_norm, oracle.solution_norm, c_tilde,
+                  lambda: hhl_solution_state(ext, b, n_bits)),
+                 (estimate_residual_norm, oracle.residual_norm, t / 2,
+                  lambda: residual_of(ext, b, n_bits)))
+        for estimator, norm, scale, state in cases:
             angles = []
             # an exact readout: estimate_theta returns the angle it is given
             with mock.patch.object(hhl, "estimate_theta",
                                    lambda theta, *_, **__: angles.append(theta) or theta):
                 try:
-                    solution = hhl_solution_state(ext, b, n_bits)
-                    got, _ = estimator(solution, ext, b, 0.05, np.random.default_rng(0))
+                    got, _ = estimator(state(), ext, b, 0.05, np.random.default_rng(0))
                 except SpectrumResolutionError:  # the register cannot resolve A
                     continue
             assert math.cos(angles[0]) == pytest.approx(scale * norm / b_norm, abs=1e-10)
@@ -277,7 +279,9 @@ class TestApplyAState:
 
 
 def residual_of(ext, b, n_bits):
-    return residual_state(hhl_solution_state(ext, b, n_bits), ext, b)
+    """The residual state at the end of the chain solver -> A x -> residual."""
+    ax = apply_A_state(hhl_solution_state(ext, b, n_bits), ext)
+    return residual_state(ax, ext, b)
 
 
 class TestResidualState:
@@ -316,16 +320,16 @@ def solution_norm(ext, b, n_bits, *args, **kwargs):
 
 
 def residual_norm(ext, b, n_bits, *args, **kwargs):
-    """estimate_residual_norm on a freshly built solver state."""
-    return estimate_residual_norm(hhl_solution_state(ext, b, n_bits), ext, b,
-                                  *args, **kwargs)
+    """estimate_residual_norm on a freshly built residual state."""
+    return estimate_residual_norm(residual_of(ext, b, n_bits), ext, b, *args, **kwargs)
 
 
 def both_norms(ext, b, n_bits, epsilon, rng, repeats=1):
-    """The L-curve pipeline's per-mu step: both estimators on one solver state."""
-    solution = hhl_solution_state(ext, b, n_bits)
-    sol, q_sol = estimate_solution_norm(solution, ext, b, epsilon, rng, repeats)
-    res, q_res = estimate_residual_norm(solution, ext, b, epsilon, rng, repeats)
+    """The L-curve pipeline's per-mu step: the solver state, then the residual state."""
+    state = hhl_solution_state(ext, b, n_bits)
+    sol, q_sol = estimate_solution_norm(state, ext, b, epsilon, rng, repeats)
+    state = residual_state(apply_A_state(state, ext), ext, b)
+    res, q_res = estimate_residual_norm(state, ext, b, epsilon, rng, repeats)
     return sol, res, q_sol + q_res
 
 

@@ -15,6 +15,7 @@ from qregparam import (
     save_matrix,
     save_vector,
 )
+from qregparam import amplitude
 from qregparam.cli import RunConfig, build_parser, main, run
 
 
@@ -328,6 +329,42 @@ class TestCli:
             config = json.loads(out.read_text().splitlines()[0])
             assert not {"m", "n", "noise"} & config.keys()
         assert len(digests) == 1
+
+    def test_file_input_report_names_content_not_path(self, tmp_path):
+        """Two spellings and two directories of the same bytes give one report."""
+        A, b = np.diag([1.0, 0.5]), np.array([1.0, 1.0])
+        for folder in (tmp_path / "one", tmp_path / "two"):
+            folder.mkdir()
+            save_matrix(folder / "A.mtx", A)
+            save_vector(folder / "b.mtx", b)
+        (tmp_path / "sub").mkdir()
+
+        def digest(matrix_file, rhs_file):
+            out = tmp_path / "report.jsonl"
+            assert main(["--method", "classical-gcv", "--matrix-file", str(matrix_file),
+                         "--rhs-file", str(rhs_file), "--p", "3", "--out", str(out)]) == 0
+            config = json.loads(out.read_text().splitlines()[0])
+            assert config["rhs_sha256"] == hashlib.sha256(Path(rhs_file).read_bytes()).hexdigest()
+            assert not {"matrix_file", "rhs_file"} & config.keys()
+            return hashlib.sha256(out.read_bytes()).hexdigest()
+
+        one, two = tmp_path / "one", tmp_path / "two"
+        same = {digest(one / "A.mtx", one / "b.mtx"),
+                digest(tmp_path / "sub" / ".." / "one" / "A.mtx", f"{one}//b.mtx"),
+                digest(two / "A.mtx", two / "b.mtx")}
+        assert len(same) == 1
+        save_vector(two / "b.mtx", np.array([1.0, 1.5]))
+        assert digest(two / "A.mtx", two / "b.mtx") not in same
+
+    def test_ae_register_beyond_capacity_typed_error(self, monkeypatch, capsys):
+        # the lowered capacity stands in for an epsilon that needs 25 or more AE bits
+        monkeypatch.setattr(amplitude, "MAX_QUBITS", 6)
+        code = main(["--method", "lcurve", "--problem", "geometric-spectrum", "--m", "2",
+                     "--n", "2", "--p", "2", "--phase-bits", "6"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [CapacityError]: amplitude estimation on ")
+        assert err.rstrip().endswith("exceeds the 6-qubit capacity (at mu = 0.9)")
 
 
 class TestReadmeExamples:

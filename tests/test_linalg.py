@@ -50,7 +50,6 @@ class TestTikhonovSolve:
     def test_mu_zero_plain_inverse(self):
         sol = tikhonov_solve(compute_svd(np.diag([1.0, 0.5])), np.array([1.0, 1.0]), 0.0)
         assert np.allclose(sol.x, [1.0, 2.0])
-        assert not sol.rank_deficient
 
     def test_term_by_term_summation(self):
         # independent evaluation of x = sum f_i (u_i^dag b / s_i) v_i
@@ -71,7 +70,6 @@ class TestTikhonovSolve:
     def test_mu_zero_singular_pseudoinverse(self):
         sol = tikhonov_solve(compute_svd(np.diag([1.0, 0.0])), np.array([1.0, 1.0]), 0.0)
         assert np.allclose(sol.x, [1.0, 0.0])
-        assert sol.rank_deficient
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +80,6 @@ class TestTsvdSolve:
     def test_single_mode(self):
         sol = tsvd_solve(compute_svd(np.diag([2.0, 1.0])), np.array([2.0, 1.0]), 1)
         assert np.allclose(sol.x, [1.0, 0.0])
-        assert sol.truncation == 1
 
     def test_full_rank(self):
         sol = tsvd_solve(compute_svd(np.diag([2.0, 1.0])), np.array([2.0, 1.0]), 2)

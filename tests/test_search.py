@@ -1,6 +1,7 @@
 """Minimum finding, the two selection pipelines, and the classical oracle."""
 import math
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from qregparam import (
     CapacityError,
     ParameterGrid,
     SpectrumResolutionError,
+    apply_A_state,
     build_extended,
     classical_select,
     compute_svd,
@@ -23,6 +25,7 @@ from qregparam import (
     generate_problem,
     hhl_solution_state,
     lcurve_pipeline,
+    residual_state,
     tikhonov_solve,
 )
 from qregparam import hhl, linalg, search
@@ -128,9 +131,10 @@ class TestLCurvePipeline:
         assert res.chosen_index == 0
         ext = build_extended(prob.A, 0.5)
         solution = hhl_solution_state(ext, prob.b, 6)
+        residual = residual_state(apply_A_state(solution, ext), ext, prob.b)
         rng = np.random.default_rng(1)
         sol, _ = estimate_solution_norm(solution, ext, prob.b, 0.05, rng, repeats=3)
-        res_norm, _ = estimate_residual_norm(solution, ext, prob.b, 0.05, rng, repeats=3)
+        res_norm, _ = estimate_residual_norm(residual, ext, prob.b, 0.05, rng, repeats=3)
         pt = res.points[0]
         assert pt.solution_norm == pytest.approx(sol, abs=1e-12)
         assert pt.residual_norm == pytest.approx(res_norm, abs=1e-12)
@@ -169,16 +173,6 @@ class TestLCurvePipeline:
             lcurve_pipeline(prob, grid, 6, 0.05, np.random.default_rng(0))
         with pytest.raises(MemoryError):
             gcv_pipeline(prob, grid, 2, 6, 0.05, np.random.default_rng(0))
-
-    def test_translation_shifts_criterion(self):
-        prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=1)
-        grid = ParameterGrid.geometric(0.8, 0.5, 3)
-        a = lcurve_pipeline(prob, grid, 6, 0.02,
-                            np.random.default_rng(3), repeats=3)
-        b = lcurve_pipeline(prob, grid, 6, 0.02,
-                            np.random.default_rng(3), repeats=3,
-                            translation=(10.0, 10.0))
-        assert not np.allclose(a.criterion_values, b.criterion_values)
 
 
 class TestPrincipalSingularValues:
@@ -343,6 +337,30 @@ class TestGcvPipeline:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(CapacityError, match=r"^2040608122 shots exceed"):
                 gcv_pipeline(prob, grid, 2, 15, 0.05, NoDraw())
+
+
+class TestStateLifetimes:
+    def test_solver_state_freed_before_residual_stage(self, monkeypatch):
+        """Both pipelines drop each solver state before building its residual state."""
+        build_solution, build_residual = search.hhl_solution_state, search.residual_state
+        solver_states, freed = {}, []
+
+        def tracked_solution_state(ext, b, n_bits):
+            state = build_solution(ext, b, n_bits)
+            solver_states[ext.mu] = weakref.ref(state)
+            return state
+
+        def checked_residual_state(ax, ext, b):
+            freed.append(solver_states[ext.mu]() is None)
+            return build_residual(ax, ext, b)
+
+        monkeypatch.setattr(search, "hhl_solution_state", tracked_solution_state)
+        monkeypatch.setattr(search, "residual_state", checked_residual_state)
+        prob = generate_problem("geometric-spectrum", 3, 2, 0.01, seed=0)
+        grid = ParameterGrid.geometric(0.8, 0.5, 3)
+        lcurve_pipeline(prob, grid, 6, 0.05, np.random.default_rng(0), repeats=1)
+        gcv_pipeline(prob, grid, 2, 6, 0.05, np.random.default_rng(0), repeats=1)
+        assert freed == [True] * (2 * grid.p)
 
 
 class TestClassicalSelect:
