@@ -1,11 +1,11 @@
 """Amplitude estimation on the angle of a good branch.
 
 A state splits as cos(theta) |good> + sin(theta) |bad>, where "good" means
-every flag qubit reads 0.  The flags lead the register (the statevector
-layout), so good_branch_angle turns a state and its number of flags into
-theta from two contiguous blocks.  Everything else here works on theta
-alone.  The Grover operator rotates the plane spanned by the two branches
-by 2*theta, so phase estimation on it reads theta off the phase register;
+every flag qubit reads 0.  The flags lead the register and index axis 0 of
+its amplitudes (the statevector layout), so good_branch_angle reads theta
+off two contiguous blocks.  Everything else here works on theta alone.
+The Grover operator rotates the plane spanned by the two branches by
+2*theta, so phase estimation on it reads theta off the phase register;
 its register distribution is the closed-form Fejer kernel of theta.
 Register values are folded through two's complement so both +-theta
 branches decode to the same cos(theta).  The circuit itself (the dense
@@ -21,14 +21,13 @@ import numpy as np
 from .statevector import MAX_QUBITS, CapacityError, twos_complement
 
 
-def good_branch_angle(amplitudes: np.ndarray, n_flags: int) -> float:
+def good_branch_angle(amplitudes: np.ndarray) -> float:
     """Angle in [0, pi/2] whose cosine is the norm of the all-flags-zero branch.
 
-    The flags are the n_flags leading qubits.
+    Axis 0 of amplitudes runs over the values of the flag qubits.
     """
-    psi = amplitudes.reshape(2**n_flags, -1)
     # row 0: every flag qubit reads 0
-    return math.atan2(np.linalg.norm(psi[1:]), np.linalg.norm(psi[0]))
+    return math.atan2(np.linalg.norm(amplitudes[1:]), np.linalg.norm(amplitudes[0]))
 
 
 def fold_register(y: int, n_bits: int) -> float:

@@ -12,8 +12,10 @@ cell.  All estimator error then comes from amplitude estimation, which the
 pipelines budget through epsilon; the unmodified evolution would add a
 phase-estimation leakage that no error budget accounts for.  A register too
 narrow to give each eigenvalue its own cell raises SpectrumResolutionError.
-The states follow the statevector layout [flags, phase, system]: each
-rotated ancilla is a fresh flag inserted above the phase register.
+The states follow the statevector layout [flags, phase, system], as
+(2^flags, 2^n, 2^k) amplitudes: each rotated ancilla is a fresh flag
+inserted above the phase register.  Each stage reads n and k off the shape
+of the state it is handed and refuses, by ValueError, a wrong flag count.
 
 The per-mu step is the chain solver -> A x -> residual: each stage takes the
 previous stage's state, and each estimator reads the state it is handed.  C~
@@ -61,7 +63,7 @@ def rotation_constant(ext: ExtendedMatrix) -> float:
     if ext.mu > 0:
         # nonzero dilation eigenvalues are +-sqrt(sigma_i^2 + mu^2), i = 1..n,
         # padding sigma_i = 0 beyond min(m, n)
-        tail = 0.0 if ext.n > sigma.size else float(sigma[ext.n - 1])
+        tail = 0.0 if ext.svd.n > sigma.size else float(sigma[ext.svd.n - 1])
         return math.sqrt(tail**2 + ext.mu**2)
     return float(sigma[sigma > 1e-12 * smax][-1])
 
@@ -79,12 +81,13 @@ def prepare_b_state(b: np.ndarray, width: int) -> StateVector:
     return StateVector(width, amps)
 
 
-def _padded(H: np.ndarray) -> tuple[np.ndarray, int]:
-    d = H.shape[0]
-    k = max(1, (d - 1).bit_length())
-    out = np.zeros((2**k, 2**k), dtype=complex)
-    out[:d, :d] = H
-    return out, k
+def _layout(state: StateVector, flags: int, stage: str) -> tuple[int, int]:
+    """(n, k) read off a stage's input, which must carry `flags` flag qubits."""
+    shape = state.amplitudes.shape
+    if len(shape) != 3 or shape[0] != 2**flags:
+        raise ValueError(f"{stage} expects the (2^{flags}, 2^n, 2^k) amplitudes of a "
+                         f"state with {flags} flag qubit(s), got shape {shape}")
+    return shape[1].bit_length() - 1, shape[2].bit_length() - 1
 
 
 def _phase_cells(H: np.ndarray, t: float, n_bits: int
@@ -125,7 +128,7 @@ def _phase_cells(H: np.ndarray, t: float, n_bits: int
     return (V, phases), lam_by_cell
 
 
-def _add_flag(state: StateVector, amps_by_cell: np.ndarray, k: int) -> StateVector:
+def _add_flag(state: StateVector, amps_by_cell: np.ndarray) -> StateVector:
     """Insert a fresh flag qubit directly above the phase register.
 
     The flag starts in |0> and is rotated by arcsin of the per-phase-cell
@@ -133,40 +136,39 @@ def _add_flag(state: StateVector, amps_by_cell: np.ndarray, k: int) -> StateVect
     sqrt(1 - a(y)^2) psi.  Cell 0 (and any cell with a = 0) sends the
     component entirely to |1>, excluding it from inversion.
     """
-    psi = state.amplitudes.reshape(-1, amps_by_cell.size, 2**k)
+    psi = state.amplitudes
     a = amps_by_cell[:, np.newaxis]
     b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
     out = np.empty((psi.shape[0], 2, *psi.shape[1:]), dtype=complex)
     np.multiply(a, psi, out=out[:, 0])
     np.multiply(b, psi, out=out[:, 1])
-    return StateVector(state.num_qubits + 1, out.reshape(-1))
+    return StateVector(out.size.bit_length() - 1, out.reshape(-1, *psi.shape[1:]))
 
 
 def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) -> StateVector:
     """The solver state: good flag |0> branch carries C~ ||x_mu|| |x_mu>.
 
-    Register order: [ancilla, phase (n_phase_bits), system (dilation,
-    padded)].  The x block occupies system coordinates m+n .. m+2n-1.
+    Register order: [ancilla, phase (n_phase_bits), system (the dilation's
+    k qubits)].  The x block occupies system coordinates m+n .. m+2n-1.
     Forward phase estimation runs before the ancilla exists, with
     t = pi / (2 sqrt(sigma_max^2 + mu^2)).
     """
     c_tilde = rotation_constant(ext)
     t = math.pi / (2.0 * math.sqrt(ext.svd.sigma_max**2 + ext.mu**2))
-    Hd, k = _padded(ext.dilation)
-    n = n_phase_bits
-    eig, lam = _phase_cells(Hd, t, n)
+    eig, lam = _phase_cells(ext.dilation, t, n_phase_bits)
     lam_min = float(np.min(np.abs(lam[lam != 0]), initial=np.inf))
     if c_tilde > lam_min * (1 + 1e-9):
         raise ValueError(
             f"c_tilde {c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
         )
+    n, k = n_phase_bits, ext.dilation.shape[0].bit_length() - 1
     _check_capacity(n + k + 1)
-    amps = np.zeros(2 ** (n + k), dtype=complex)
-    amps[: 2**k] = prepare_b_state(b, k).amplitudes  # phase register |0>
-    state = qpe_forward(StateVector(n + k, amps), eig, n)
+    amps = np.zeros((1, 2**n, 2**k), dtype=complex)
+    amps[0, 0] = prepare_b_state(b, k).amplitudes  # phase register |0>
+    state = qpe_forward(StateVector(n + k, amps), eig)
     amps = np.divide(c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
-    state = _add_flag(state, np.clip(amps, -1.0, 1.0), k)
-    return qpe_inverse(state, eig, n)
+    state = _add_flag(state, np.clip(amps, -1.0, 1.0))
+    return qpe_inverse(state, eig)
 
 
 def apply_A_state(solution: StateVector, ext: ExtendedMatrix) -> StateVector:
@@ -175,15 +177,14 @@ def apply_A_state(solution: StateVector, ext: ExtendedMatrix) -> StateVector:
     solution is hhl_solution_state(ext, b, n_phase_bits); its phase width is
     reused.  Register order: [hhl ancilla, multiply ancilla, phase, system].
     """
-    # the dilation of A alone: the (m, n, n) layout of ext.dilation at mu = 0
-    Ha, k = _padded(_dilation(ext.A, 0.0))
-    n = solution.num_qubits - k - 1
+    n, k = _layout(solution, 1, "apply_A_state")
     _check_capacity(n + k + 2)
     smax = ext.svd.sigma_max
-    eig2, lam2 = _phase_cells(Ha, math.pi / (2.0 * smax), n)
-    state = qpe_forward(solution, eig2, n)
-    state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0), k)
-    return qpe_inverse(state, eig2, n)
+    # the dilation of A alone: the (m, n, n) layout of ext.dilation at mu = 0
+    eig2, lam2 = _phase_cells(_dilation(ext.A, 0.0), math.pi / (2.0 * smax), n)
+    state = qpe_forward(solution, eig2)
+    state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0))
+    return qpe_inverse(state, eig2)
 
 
 def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:
@@ -191,11 +192,11 @@ def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> State
 
     ax is apply_A_state(solution, ext).  Register order: [hhl ancilla,
     multiply ancilla, selector, rotation qubit, phase, system]; the good flag
-    is the four leading qubits, so the good branch is the first 2^(n+k)
-    amplitudes.
+    is the four leading qubits, so the good branch is row 0 of the
+    (16, 2^n, 2^k) amplitudes.
     """
-    _, k = _padded(ext.dilation)
-    _check_capacity(ax.num_qubits + 2)
+    n, k = _layout(ax, 2, "residual_state")
+    _check_capacity(n + k + 4)
     # Step 1: a selector qubit whose |0> carries ax and |1> carries -|b>
     # (phase 0, ancillas 00).  Step 2: amplitude balancing rotates a fresh
     # rotation qubit by R(a0) under selector 0 and R(a1) under selector 1;
@@ -215,16 +216,16 @@ def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> State
     b_terms = np.outer(col1, prepare_b_state(b, k).amplitudes)
     out[0, 0, :, : 2**k] -= b_terms
     out[0, 1, :, : 2**k] += b_terms
-    return StateVector(ax.num_qubits + 2, out.reshape(-1))
+    return StateVector(n + k + 4, out.reshape(16, 2**n, 2**k))
 
 
-def _estimate(state: StateVector, n_flags: int, scale: float, b: np.ndarray,
+def _estimate(state: StateVector, scale: float, b: np.ndarray,
               epsilon: float, rng: np.random.Generator, repeats: int) -> tuple[float, int]:
     """(norm, queries) from the good branch, whose amplitude is scale * norm / ||b||."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     n_ae = ae_bits_for_accuracy(scale * epsilon)
-    theta = good_branch_angle(state.amplitudes, n_flags)
+    theta = good_branch_angle(state.amplitudes)
     theta_tilde = estimate_theta(theta, n_ae, rng, repeats=repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
     return math.cos(theta_tilde) / scale * b_norm, ae_query_count(n_ae, repeats)
@@ -238,7 +239,8 @@ def estimate_solution_norm(solution: StateVector, ext: ExtendedMatrix, b: np.nda
     solution is hhl_solution_state(ext, b, n_phase_bits); its good flag is
     the ancilla, its first qubit.
     """
-    return _estimate(solution, 1, rotation_constant(ext), b, epsilon, rng, repeats)
+    _layout(solution, 1, "estimate_solution_norm")
+    return _estimate(solution, rotation_constant(ext), b, epsilon, rng, repeats)
 
 
 def estimate_residual_norm(residual: StateVector, ext: ExtendedMatrix, b: np.ndarray,
@@ -249,5 +251,6 @@ def estimate_residual_norm(residual: StateVector, ext: ExtendedMatrix, b: np.nda
     residual is residual_state(ax, ext, b).  The good flags are its four
     ancillas, its first four qubits.
     """
+    _layout(residual, 4, "estimate_residual_norm")
     t = min(1.0, rotation_constant(ext) / ext.svd.sigma_max)
-    return _estimate(residual, 4, t / 2, b, epsilon, rng, repeats)
+    return _estimate(residual, t / 2, b, epsilon, rng, repeats)

@@ -94,20 +94,15 @@ class TikhonovSolution:
 
 @dataclass
 class ExtendedMatrix:
-    """The stacked matrix (A; mu I), held as its Hermitian block-antidiagonal dilation."""
+    """The stacked matrix (A; mu I), held as its Hermitian block-antidiagonal dilation.
+
+    The dilation is 2^k x 2^k: it acts on a k-qubit system register.
+    """
 
     mu: float
     dilation: np.ndarray
     A: np.ndarray = field(repr=False)
     svd: SvdFactorization = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
 
 
 def compute_svd(A: np.ndarray) -> SvdFactorization:
@@ -194,11 +189,13 @@ def _dilation(A: np.ndarray, mu: float) -> np.ndarray:
     At mu = 0 it is the dilation of A alone, with the same (m, n, n) blocks.
     """
     m, n = A.shape
-    D = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
-    D[:m, m + n:] = A
-    D[m:m + n, m + n:] = mu * np.eye(n)
-    D[m + n:, :m] = A.conj().T
-    D[m + n:, m:m + n] = mu * np.eye(n)
+    K = 2 ** max(1, (m + 2 * n - 1).bit_length())
+    D = np.zeros((K, K), dtype=complex)
+    x = slice(m + n, m + 2 * n)  # the x block
+    D[:m, x] = A
+    D[m:m + n, x] = mu * np.eye(n)
+    D[x, :m] = A.conj().T
+    D[x, m:m + n] = mu * np.eye(n)
     return D
 
 
@@ -207,7 +204,8 @@ def build_extended(A: np.ndarray, mu: float,
     """Stack A over mu*I and embed the stack in its Hermitian dilation.
 
     Dilation layout is the 3-block form ((0,0,A),(0,0,mu I),(A^dag,mu I,0)),
-    with row/column blocks of sizes (m, n, n).  Its nonzero eigenvalues are
+    with row/column blocks of sizes (m, n, n), zero-padded to 2^k x 2^k for
+    the smallest k >= 1 with 2^k >= m + 2n.  Its nonzero eigenvalues are
     +-sqrt(sigma_i^2 + mu^2).  svd is compute_svd(A) when the caller already
     has it (a pipeline factors A once for every grid value).
     """

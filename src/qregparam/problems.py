@@ -14,9 +14,12 @@ def _random_orthonormal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def generate_problem(kind: str, m: int, n: int, noise: float, seed: int,
-                     rank: int | None = None) -> RegularizedProblem:
-    """Build a seeded problem with known x_true and b = A x_true + noise * g."""
+def generate_problem(kind: str, m: int, n: int, noise: float,
+                     seed: int) -> RegularizedProblem:
+    """Build a seeded problem with known x_true and b = A x_true + noise * g.
+
+    The low-rank kind plants rank max(1, min(m, n) // 2).
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind {kind!r}; choose from {KINDS}")
     if m < 1 or n < 1:
@@ -31,10 +34,7 @@ def generate_problem(kind: str, m: int, n: int, noise: float, seed: int,
     else:
         sigma = 0.5 ** np.arange(q, dtype=float)
         if kind == "low-rank":
-            r = max(1, q // 2) if rank is None else rank
-            if not 1 <= r <= q:
-                raise ValueError(f"rank {r} outside [1, {q}]")
-            sigma[r:] = 0.0
+            sigma[max(1, q // 2):] = 0.0
         U = _random_orthonormal(m, rng)
         V = _random_orthonormal(n, rng)
         A = (U[:, :q] * sigma) @ V[:, :q].T

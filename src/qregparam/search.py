@@ -26,7 +26,6 @@ import numpy as np
 
 from .hhl import (
     ZERO_MATRIX,
-    _padded,
     _phase_cells,
     apply_A_state,
     estimate_residual_norm,
@@ -50,24 +49,25 @@ from .statevector import MAX_QUBITS, CapacityError, _check_capacity
 
 @dataclass
 class ParameterGrid:
-    """Geometric grid mu_j = mu0 * rho^j, j = 1..p (strictly decreasing)."""
+    """A strictly decreasing, positive grid of mu values; p is its length."""
 
     mus: np.ndarray
-    rho: float
-    p: int
 
     def __post_init__(self):
         self.mus = np.asarray(self.mus, dtype=float).ravel()
-        if not 0 < self.rho < 1:
-            raise ValueError("rho must lie in (0, 1)")
-        if self.p < 1 or self.mus.size != self.p:
-            raise ValueError("grid length must equal p >= 1")
-        if np.any(self.mus <= 0) or np.any(np.diff(self.mus) >= 0):
-            raise ValueError("grid must be strictly decreasing and positive")
+        if self.mus.size < 1 or np.any(self.mus <= 0) or np.any(np.diff(self.mus) >= 0):
+            raise ValueError("grid must be nonempty, strictly decreasing and positive")
+
+    @property
+    def p(self) -> int:
+        return self.mus.size
 
     @classmethod
     def geometric(cls, mu0: float = 1.0, rho: float = 0.9, p: int = 16) -> "ParameterGrid":
-        return cls(mus=mu0 * rho ** np.arange(1, p + 1), rho=rho, p=p)
+        """mu_j = mu0 * rho^j, j = 1..p."""
+        if not 0 < rho < 1:
+            raise ValueError("rho must lie in (0, 1)")
+        return cls(mus=mu0 * rho ** np.arange(1, p + 1))
 
 
 @dataclass
@@ -93,16 +93,17 @@ def durr_hoyer_budget(p: int) -> float:
     return 22.5 * math.sqrt(p) + 1.4 * math.log2(p) ** 2 if p > 1 else 0.0
 
 
-def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator,
-                   mus: np.ndarray | None = None) -> SelectionResult:
-    """Grover-threshold minimum finding within the 22.5 sqrt(p) + 1.4 log^2 p budget."""
+def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator) -> SelectionResult:
+    """Grover-threshold minimum finding within the 22.5 sqrt(p) + 1.4 log^2 p budget.
+
+    The values carry no grid: chosen_mu is nan, for the caller to set.
+    """
     values = np.asarray(values, dtype=float).ravel()
     p = values.size
     if p < 1:
         raise ValueError("need at least one value")
-    mu_of = (lambda j: float(mus[j])) if mus is not None else (lambda j: math.nan)
     if p == 1:
-        return SelectionResult(0, mu_of(0), values, 0, [0])
+        return SelectionResult(0, math.nan, values, 0, [0])
     budget = durr_hoyer_budget(p)
     y = int(rng.integers(p))
     history = [y]
@@ -132,7 +133,7 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator,
             m = 1.0
         else:
             m = min(grow * m, math.sqrt(p))
-    return SelectionResult(y, mu_of(y), values, queries, history)
+    return SelectionResult(y, math.nan, values, queries, history)
 
 
 def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
@@ -171,7 +172,8 @@ def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bi
         points.append(LCurvePoint(mu=float(mu), residual_norm=res, solution_norm=sol))
         criterion[j] = sol**2 + res**2
         queries += q
-    result = durr_hoyer_min(criterion, rng, mus=grid.mus)
+    result = durr_hoyer_min(criterion, rng)
+    result.chosen_mu = float(grid.mus[result.chosen_index])
     result.queries_used += queries
     result.points = points
     return result
@@ -186,7 +188,7 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
     dilation H, runs phase estimation with e^{-i t H} on the row register,
     samples the phase register, merges outcomes with equal magnitude, and
     converts sigma~ -> sqrt(sigma~^2 - mu^2).  eigvals is
-    np.linalg.eigvalsh of the padded dilation when the caller already has it.
+    np.linalg.eigvalsh(ext.dilation) when the caller already has it.
 
     The register distribution is evaluated in closed form, without the
     2^(n_bits + 2k)-amplitude state.  With H = sum_l lambda_l v_l v_l^dag,
@@ -207,8 +209,8 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
         raise ValueError("shots must be >= 1")
     if not np.any(ext.A):
         raise ValueError(ZERO_MATRIX)
-    Hd, k = _padded(ext.dilation)
-    w = np.linalg.eigvalsh(Hd) if eigvals is None else eigvals
+    k = ext.dilation.shape[0].bit_length() - 1
+    w = np.linalg.eigvalsh(ext.dilation) if eigvals is None else eigvals
     lam_max = float(np.max(np.abs(w)))
     # the premise is about A: its sigma^2 = lambda^2 - mu^2, once per sign of lambda
     sigma_sq = np.sort(np.maximum(w**2 - ext.mu**2, 0.0))[::-1]
@@ -221,7 +223,7 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
             stacklevel=2,
         )
     t = math.pi / (2.0 * lam_max)
-    (_, phases), lam_by_cell = _phase_cells(Hd, t, n_bits)
+    (_, phases), lam_by_cell = _phase_cells(ext.dilation, t, n_bits)
     _check_capacity(n_bits + 2 * k)
     if shots > 2**MAX_QUBITS:
         raise CapacityError(f"{shots} shots exceed the {2**MAX_QUBITS}-draw capacity")
@@ -251,7 +253,7 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
                  repeats: int = 5) -> SelectionResult:
     """Singular-value extraction, parallel residual estimation, min of G(mu_j)."""
     def sample(ext: ExtendedMatrix) -> tuple[int, np.ndarray]:
-        eigvals = np.linalg.eigvalsh(_padded(ext.dilation)[0])
+        eigvals = np.linalg.eigvalsh(ext.dilation)
         w = np.abs(eigvals)
         nz = np.sort(w[w > 1e-12 * w.max()])
         ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
@@ -272,7 +274,8 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
         res, q = _at_mu(problem, svd, float(mu), residual)
         criterion[j] = gcv_lowrank(sigma_est, res**2, problem.m, problem.n, float(mu))
         queries += q
-    result = durr_hoyer_min(criterion, rng, mus=grid.mus)
+    result = durr_hoyer_min(criterion, rng)
+    result.chosen_mu = float(grid.mus[result.chosen_index])
     result.queries_used += queries
     return result
 

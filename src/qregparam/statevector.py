@@ -12,9 +12,9 @@ MOST significant bit of the basis-state index, so a register listed first
 occupies the high bits.  For a phase-estimation register of n qubits the
 register value y and a system state s combine into index y * 2^k + s.
 Every state the pipelines build is laid out [flag qubits in creation order,
-phase register, system], so it is a (flags, 2^n, 2^k) array: the QPE
-kernels work along its middle axis, a fresh flag is a new leading axis, and
-the all-flags-zero branch is the first 2^(n+k) amplitudes.
+phase register, system] and held in that shape, a (2^flags, 2^n, 2^k) array:
+the QPE kernels read n and k off it and work along its middle axis, a fresh
+flag doubles the leading axis, and the all-flags-zero branch is row 0.
 """
 from __future__ import annotations
 
@@ -40,13 +40,13 @@ def _check_capacity(num_qubits: int) -> None:
 
 @dataclass(frozen=True)
 class StateVector:
-    """2^num_qubits complex amplitudes of a qubit register (immutable)."""
+    """2^num_qubits complex amplitudes (immutable), held in the shape the caller gives."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         if self.num_qubits < 1:
             raise ValueError("need at least one qubit")
@@ -109,7 +109,7 @@ def apply(state: StateVector, op: UnitaryOp, targets: list[int]) -> StateVector:
     shape = psi.shape
     psi = op.matrix @ psi.reshape(2**t, -1)
     psi = np.moveaxis(psi.reshape(shape), range(t), targets)
-    return StateVector(q, psi.reshape(-1))
+    return StateVector(q, psi.reshape(state.amplitudes.shape))
 
 
 def controlled(op: UnitaryOp, power: int = 1) -> UnitaryOp:
@@ -146,7 +146,7 @@ def _apply_qft_fast(state: StateVector, targets: list[int], inverse: bool) -> St
     shape = psi.shape
     block = _fourier(psi.reshape(1, 2**n, -1), inverse)
     psi = np.moveaxis(block.reshape(shape), range(n), targets)
-    return StateVector(q, psi.reshape(-1))
+    return StateVector(q, psi.reshape(state.amplitudes.shape))
 
 
 def _walsh_hadamard(block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -168,46 +168,44 @@ def _walsh_hadamard(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(block, 1.0 / math.sqrt(N), out=out)
 
 
-def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray], n_bits: int,
+def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
                inverse: bool) -> StateVector:
     """The controlled-power ladder of QPE evaluated in the eigenbasis of op.
 
     With op = V diag(e^{2 pi i phases}) V^dag, the ladder applies op^y to the
     system when the phase register holds y, so in the eigenbasis it is one
-    elementwise factor e^{2 pi i y phases_j}.  In the module's layout the
-    amplitudes are a (flags, 2^n, 2^k) array, so each change of basis is one
-    matrix product over the last axis.
+    elementwise factor e^{2 pi i y phases_j}.  The amplitudes are a
+    (2^flags, 2^n, 2^k) array, so each change of basis is one matrix product
+    over the last axis.
     """
     V, phases = eig
-    N, K = 2**n_bits, V.shape[0]
-    psi = state.amplitudes.reshape(-1, N, K)
+    psi = state.amplitudes
+    _, N, K = shape = psi.shape
     psi = _fourier(psi, False) if inverse else _walsh_hadamard(psi, np.empty_like(psi))
     # y * phase reduced mod 1 before scaling by 2 pi keeps dyadic phases exact
     turns = np.outer(np.arange(N), phases) % 1.0
     factor = np.exp((-2j if inverse else 2j) * math.pi * turns)
-    psi = (psi.reshape(-1, K) @ V.conj()).reshape(-1, N, K)   # V^dag on the system
+    psi = (psi.reshape(-1, K) @ V.conj()).reshape(shape)   # V^dag on the system
     psi *= factor
-    psi = (psi.reshape(-1, K) @ V.T).reshape(-1, N, K)        # V on the system
+    psi = (psi.reshape(-1, K) @ V.T).reshape(shape)        # V on the system
     psi = _walsh_hadamard(psi, psi) if inverse else _fourier(psi, True)
-    return StateVector(state.num_qubits, psi.reshape(-1))
+    return StateVector(state.num_qubits, psi)
 
 
-def qpe_forward(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
-                n_bits: int) -> StateVector:
+def qpe_forward(state: StateVector, eig: tuple[np.ndarray, np.ndarray]) -> StateVector:
     """Hadamards, the controlled-op^{2^j} ladder, then the inverse QFT.
 
     eig = (V, phases) describes op = V diag(e^{2 pi i phases}) V^dag on the
-    system, the last log2(len(V)) qubits; the phase register is the n_bits
-    qubits above it.  The ladder is evaluated in that eigenbasis
-    (_ladder_forward is the same circuit gate by gate).
+    system, the last axis of the state's (2^flags, 2^n, 2^k) amplitudes; the
+    phase register is the middle axis.  The ladder is evaluated in that
+    eigenbasis (_ladder_forward is the same circuit gate by gate).
     """
-    return _eigen_qpe(state, eig, n_bits, inverse=False)
+    return _eigen_qpe(state, eig, inverse=False)
 
 
-def qpe_inverse(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
-                n_bits: int) -> StateVector:
+def qpe_inverse(state: StateVector, eig: tuple[np.ndarray, np.ndarray]) -> StateVector:
     """Exact inverse of qpe_forward."""
-    return _eigen_qpe(state, eig, n_bits, inverse=True)
+    return _eigen_qpe(state, eig, inverse=True)
 
 
 def _ladder_forward(state: StateVector, op: UnitaryOp,

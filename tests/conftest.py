@@ -29,13 +29,15 @@ def random_problem(rng, m, n, rank_deficient=False):
     return RegularizedProblem(A=A, b=b)
 
 
-def gate_level_qpe(state, eig, n_bits, inverse=False):
+def gate_level_qpe(state, eig, inverse=False):
     """Reference for qpe_forward/qpe_inverse: the gate-by-gate controlled-power
     ladder on the dense op = V diag(e^{2 pi i phases}) V^dag, with the system
-    the last log2(len(V)) qubits and the n_bits phase qubits just above it."""
+    the last axis of the (2^flags, 2^n, 2^k) amplitudes and the n phase
+    qubits (the middle axis) just above it."""
     V, phases = eig
     op = UnitaryOp((V * np.exp(2j * np.pi * phases)) @ V.conj().T)
-    q, k = state.num_qubits, V.shape[0].bit_length() - 1
+    q = state.num_qubits
+    n_bits, k = (d.bit_length() - 1 for d in state.amplitudes.shape[1:])
     phase, system = list(range(q - k - n_bits, q - k)), list(range(q - k, q))
     ladder = _ladder_inverse if inverse else _ladder_forward
     return ladder(state, op, phase, system)

@@ -138,9 +138,7 @@ def top_magnitude_cells(outcomes: Sequence[int], n_bits: int, r: int) -> list[in
     return sorted(counts, key=counts.get, reverse=True)[:r]
 
 
-def solution_block(state: StateVector, ext: ExtendedMatrix, n: int) -> np.ndarray:
+def solution_block(state: StateVector, ext: ExtendedMatrix) -> np.ndarray:
     """The x-block of the good branch of hhl_solution_state(ext, b, n) (unnormalized)."""
-    m, nn = ext.m, ext.n
-    k = state.num_qubits - n - 1
-    psi = state.amplitudes.reshape(2, 2**n, 2**k)
-    return psi[0, 0, m + nn:m + 2 * nn]
+    m, nn = ext.A.shape
+    return state.amplitudes[0, 0, m + nn:m + 2 * nn]

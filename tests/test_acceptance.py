@@ -117,7 +117,7 @@ def test_04_amplitude_estimation_bound():
 
 def flag_zero_mass(state):
     flags = (0,)  # the solver state's ancilla
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes.ravel()) ** 2
     idx = np.arange(probs.size)
     mask = np.ones(probs.size, dtype=bool)
     for f in flags:

@@ -37,7 +37,7 @@ def prep_with_angle(theta, k=2):
 
 class TestStatePrep:
     def test_theta_readout(self):
-        theta = good_branch_angle(prep_with_angle(0.4), 1)
+        theta = good_branch_angle(prep_with_angle(0.4).reshape(2, -1))
         assert theta == pytest.approx(0.4, abs=1e-12)
 
 
@@ -60,7 +60,7 @@ class TestGroverOperator:
             G = grover_operator(amps, (0,))
             w = np.linalg.eigvals(G.matrix)
             angles = np.sort(np.abs(np.angle(w)))
-            assert np.min(np.abs(angles - 2 * good_branch_angle(amps, 1))) < 1e-8
+            assert np.min(np.abs(angles - 2 * good_branch_angle(amps.reshape(2, -1)))) < 1e-8
 
 
 class TestEstimateTheta:
@@ -110,7 +110,8 @@ class TestEstimateTheta:
         # dyadic angle: both implementations must read the phase exactly
         theta = math.pi * 4 / 2**4  # rotation 2*theta has dyadic phase 4/16
         amps = prep_with_angle(theta, k=2)
-        sub = estimate_theta(good_branch_angle(amps, 1), 4, np.random.default_rng(1))
+        sub = estimate_theta(good_branch_angle(amps.reshape(2, -1)), 4,
+                             np.random.default_rng(1))
         full = estimate_theta_full_circuit(amps, (0,), 4, np.random.default_rng(1))
         assert sub == pytest.approx(theta, abs=1e-9)
         assert full == pytest.approx(theta, abs=1e-9)

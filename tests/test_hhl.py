@@ -1,5 +1,6 @@
 """Solver states on the extended matrix and the amplitude-estimated norms."""
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from reference import solution_block
 
 def flag_zero_mass(state, flags):
     """Mass of the branch where every qubit in flags reads 0."""
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes.ravel()) ** 2
     idx = np.arange(probs.size)
     mask = np.ones(probs.size, dtype=bool)
     for f in flags:
@@ -50,12 +51,12 @@ class TestPrepareBState:
         b = rng.standard_normal(2)
         ext = build_extended(A, 0.4)
         w, V = np.linalg.eigh(ext.dilation)
-        b_tilde = np.zeros(6)
+        b_tilde = np.zeros(8)
         b_tilde[:2] = b / np.linalg.norm(b)
         st = prepare_b_state(b, 3)
-        for j in range(6):
+        for j in range(8):
             expect = V[:, j] @ b_tilde
-            got = np.vdot(np.concatenate([V[:, j], [0, 0]]), st.amplitudes)
+            got = np.vdot(V[:, j], st.amplitudes)
             assert abs(got - expect) < 1e-12
 
     def test_zero_b_rejected(self):
@@ -71,7 +72,7 @@ class TestSolutionState:
     def test_identity_system(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
         st = hhl_solution_state(ext, np.array([1.0]), 4)
-        blk = solution_block(st, ext, 4)
+        blk = solution_block(st, ext)
         assert abs(blk[0]) == pytest.approx(rotation_constant(ext) * 1.0, abs=1e-10)
         assert flag_zero_mass(st, [0]) == pytest.approx(
             rotation_constant(ext)**2, abs=1e-10)
@@ -81,7 +82,7 @@ class TestSolutionState:
         st = hhl_solution_state(ext, b, n_bits)
         assert flag_zero_mass(st, [0]) == pytest.approx(
             rotation_constant(ext)**2 * 0.64, abs=1e-10)
-        blk = solution_block(st, ext, n_bits)
+        blk = solution_block(st, ext)
         x_oracle = tikhonov_solve(ext.svd, b, 0.5).x
         assert np.allclose(blk, rotation_constant(ext) * x_oracle, atol=1e-10)
 
@@ -92,7 +93,7 @@ class TestSolutionState:
         ext = build_extended(A, 0.3)
         b = svd.U[:, 0].real
         st = hhl_solution_state(ext, b, 6)
-        blk = solution_block(st, ext, 6)
+        blk = solution_block(st, ext)
         direction = blk / np.linalg.norm(blk)
         overlap = abs(np.vdot(direction, svd.V[:, 0]))
         assert overlap >= 1 - 1e-6
@@ -140,7 +141,7 @@ class TestPhaseCells:
 
     def test_degenerate_spectrum_shares_one_cell(self):
         ext = build_extended(np.eye(3), 0.5)
-        Hd, _ = hhl._padded(ext.dilation)
+        Hd = ext.dilation
         t = math.pi / (2 * math.sqrt(ext.svd.sigma_max**2 + 0.25))
         (_, phases), lam = hhl._phase_cells(Hd, t, 4)
         w = np.linalg.eigvalsh(Hd)
@@ -152,13 +153,13 @@ class TestPhaseCells:
             cell = phases[np.abs(w - sign * top) < 1e-9]
             assert cell.size == 3 and np.all(cell == cell[0]) and cell[0] != 0
         b = np.array([1.0, -2.0, 0.5])
-        blk = solution_block(hhl_solution_state(ext, b, 4), ext, 4)
+        blk = solution_block(hhl_solution_state(ext, b, 4), ext)
         assert np.allclose(blk, rotation_constant(ext) * 0.8 * b / np.linalg.norm(b),
                            atol=1e-12)
 
     def test_zero_eigenvalues_get_phase_zero(self):
         ext = build_extended(np.eye(3), 0.5)
-        Hd, _ = hhl._padded(ext.dilation)
+        Hd = ext.dilation
         (_, phases), lam = hhl._phase_cells(Hd, math.pi / (2 * math.sqrt(1.25)), 4)
         zero = np.abs(np.linalg.eigvalsh(Hd)) < 1e-12
         assert np.count_nonzero(zero) == Hd.shape[0] - 6
@@ -276,6 +277,42 @@ class TestApplyAState:
         n, k = 5, st.num_qubits - 5 - 2
         good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         assert np.linalg.norm(good) < 1e-10
+
+
+class TestStageCheck:
+    """Each stage refuses a state built for another stage, naming itself and the shape."""
+
+    @pytest.fixture
+    def chain(self, worked_problem):
+        # 2x2 A: the dilation is 8 x 8 (k = 3); 5 phase bits
+        ext, b, n_bits = worked_problem
+        sol = hhl_solution_state(ext, b, n_bits)
+        ax = apply_A_state(sol, ext)
+        return ext, b, sol, ax, residual_state(ax, ext, b)
+
+    @staticmethod
+    def refused(stage, shape):
+        return pytest.raises(ValueError, match=f"^{stage} expects .*{re.escape(str(shape))}$")
+
+    def test_solver_state_to_residual_state(self, chain):
+        ext, b, sol, _, _ = chain
+        with self.refused("residual_state", (2, 32, 8)):
+            residual_state(sol, ext, b)
+
+    def test_ax_state_to_apply_A_state(self, chain):
+        ext, _, _, ax, _ = chain
+        with self.refused("apply_A_state", (4, 32, 8)):
+            apply_A_state(ax, ext)
+
+    def test_residual_state_to_estimate_solution_norm(self, chain):
+        ext, b, _, _, res = chain
+        with self.refused("estimate_solution_norm", (16, 32, 8)):
+            estimate_solution_norm(res, ext, b, 0.05, np.random.default_rng(0))
+
+    def test_solver_state_to_estimate_residual_norm(self, chain):
+        ext, b, sol, _, _ = chain
+        with self.refused("estimate_residual_norm", (2, 32, 8)):
+            estimate_residual_norm(sol, ext, b, 0.05, np.random.default_rng(0))
 
 
 def residual_of(ext, b, n_bits):

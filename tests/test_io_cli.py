@@ -15,7 +15,7 @@ from qregparam import (
     save_matrix,
     save_vector,
 )
-from qregparam import amplitude
+from qregparam import amplitude, search
 from qregparam.cli import RunConfig, build_parser, main, run
 
 
@@ -35,7 +35,7 @@ class TestGenerateProblem:
         assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
 
     def test_low_rank_tail(self):
-        prob = generate_problem("low-rank", 4, 4, 0.0, seed=2, rank=2)
+        prob = generate_problem("low-rank", 4, 4, 0.0, seed=2)
         s = np.linalg.svd(prob.A, compute_uv=False)
         assert np.allclose(s[2:], 0.0, atol=1e-12)
 
@@ -365,6 +365,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error [CapacityError]: amplitude estimation on ")
         assert err.rstrip().endswith("exceeds the 6-qubit capacity (at mu = 0.9)")
+
+    def test_wrong_stage_typed_error(self, monkeypatch, capsys):
+        # an A x stage that hands the solver state on unchanged
+        monkeypatch.setattr(search, "apply_A_state", lambda solution, ext: solution)
+        code = main(["--method", "lcurve", "--problem", "geometric-spectrum", "--m", "2",
+                     "--n", "2", "--p", "2", "--phase-bits", "6"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ValueError]: residual_state expects ")
+        assert err.rstrip().endswith("(at mu = 0.9)")
 
 
 class TestReadmeExamples:

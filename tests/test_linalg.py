@@ -118,7 +118,7 @@ class TestBuildExtended:
     def test_one_by_one(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
         w = np.sort(np.linalg.eigvalsh(ext.dilation))
-        assert np.allclose(w, [-1.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(w, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_worked_dilation_eigenvalues(self):
         ext = build_extended(np.diag([1.0, 0.5]), 0.5)
@@ -133,11 +133,11 @@ class TestBuildExtended:
         ext = build_extended(A, 0.7)
         D = ext.dilation
         assert np.allclose(D, D.conj().T, atol=1e-12)
-        assert np.allclose(D[:3, 5:], A)
-        assert np.allclose(D[3:5, 5:], 0.7 * np.eye(2))
+        assert np.allclose(D[:3, 5:7], A)
+        assert np.allclose(D[3:5, 5:7], 0.7 * np.eye(2))
         # mu = 0 leaves the middle block empty
         D0 = build_extended(A, 0.0).dilation
-        assert np.allclose(D0[3:5, 5:], 0.0)
+        assert np.allclose(D0[3:5, 5:7], 0.0)
 
 
 class TestConditionNumber:

@@ -39,14 +39,15 @@ from reference import register_distribution, top_magnitude_cells
 def statevector_register_distribution(ext, n_bits):
     """Reference: the phase-register distribution of principal_singular_values
     from the full 2^(n_bits + 2k)-amplitude QPE state on the vectorized dilation."""
-    Hd, k = hhl._padded(ext.dilation)
+    Hd = ext.dilation
+    k = Hd.shape[0].bit_length() - 1
     t = math.pi / (2.0 * np.max(np.abs(np.linalg.eigvalsh(Hd))))
     eig, _ = hhl._phase_cells(Hd, t, n_bits)
     amps = np.zeros((2**k, 2**n_bits, 2**k), dtype=complex)
     # QPE couples the phase register to the row register, which is the system
     # (the last k qubits); the column register leads
     amps[:, 0, :] = (Hd / np.linalg.norm(Hd)).T
-    out = qpe_forward(StateVector(n_bits + 2 * k, amps), eig, n_bits)
+    out = qpe_forward(StateVector(n_bits + 2 * k, amps), eig)
     probs = register_distribution(out, list(range(k, k + n_bits)))
     return probs / probs.sum()
 
@@ -72,7 +73,9 @@ class TestParameterGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ParameterGrid(mus=np.array([0.1, 0.2]), rho=0.5, p=2)  # increasing
+            ParameterGrid(mus=np.array([0.1, 0.2]))  # increasing
+        with pytest.raises(ValueError):
+            ParameterGrid(mus=np.array([]))
         with pytest.raises(ValueError):
             ParameterGrid.geometric(1.0, 1.5, 4)
 
@@ -125,7 +128,7 @@ class TestDurrHoyer:
 class TestLCurvePipeline:
     def test_single_mu_reduces_to_estimators(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=0)
-        grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
+        grid = ParameterGrid(mus=np.array([0.5]))
         res = lcurve_pipeline(prob, grid, 6, 0.05,
                               np.random.default_rng(1), repeats=3)
         assert res.chosen_index == 0
@@ -149,7 +152,7 @@ class TestLCurvePipeline:
 
     def test_failure_names_offending_mu(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.01, seed=0)
-        grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
+        grid = ParameterGrid(mus=np.array([0.5]))
         with pytest.raises(Exception, match="at mu"):
             lcurve_pipeline(prob, grid, 2, 0.05,
                             np.random.default_rng(0))
@@ -168,7 +171,7 @@ class TestLCurvePipeline:
 
         monkeypatch.setattr(search, "hhl_solution_state", out_of_memory)
         prob = generate_problem("geometric-spectrum", 2, 2, 0.01, seed=0)
-        grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
+        grid = ParameterGrid(mus=np.array([0.5]))
         with pytest.raises(MemoryError):
             lcurve_pipeline(prob, grid, 6, 0.05, np.random.default_rng(0))
         with pytest.raises(MemoryError):
@@ -305,7 +308,7 @@ class TestShotTally:
 class TestGcvPipeline:
     def test_single_mu_matches_lowrank_oracle(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=2)
-        grid = ParameterGrid(mus=np.array([0.5]), rho=0.5, p=1)
+        grid = ParameterGrid(mus=np.array([0.5]))
         res = gcv_pipeline(prob, grid, 2, 6, 0.02,
                            np.random.default_rng(0), repeats=3)
         assert res.chosen_index == 0
@@ -366,7 +369,7 @@ class TestStateLifetimes:
 class TestClassicalSelect:
     def test_single_mu(self):
         prob = generate_problem("geometric-spectrum", 3, 3, 0.01, seed=0)
-        grid = ParameterGrid(mus=np.array([0.3]), rho=0.5, p=1)
+        grid = ParameterGrid(mus=np.array([0.3]))
         res = classical_select(prob, grid, "lcurve-sum")
         assert res.chosen_index == 0 and res.chosen_mu == 0.3
 
