@@ -16,6 +16,7 @@ from .linalg import (
 from .statevector import CapacityError, StateVector
 from .amplitude import estimate_theta
 from .hhl import (
+    Estimate,
     SpectrumResolutionError,
     apply_A_state,
     estimate_residual_norm,
@@ -26,7 +27,7 @@ from .hhl import (
     rotation_constant,
 )
 from .search import (
-    LCurvePoint,
+    GridRow,
     ParameterGrid,
     SelectionResult,
     classical_select,

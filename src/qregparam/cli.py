@@ -117,8 +117,7 @@ def run(config: RunConfig) -> RunReport:
             key, value, sol = "mu", config.mu0, tikhonov_solve(svd, problem.b, config.mu0)
         else:
             key, value, sol = "k", config.rank, tsvd_solve(svd, problem.b, config.rank)
-        norms = {"solution_norm": float(sol.solution_norm),
-                 "residual_norm": float(sol.residual_norm)}
+        norms = {"solution_norm": sol.solution_norm, "residual_norm": sol.residual_norm}
         rows = [{key: value, **{f"{name}_oracle": v for name, v in norms.items()}}]
         selection = {f"chosen_{key}": value, **norms}
         queries = 1
@@ -127,30 +126,26 @@ def run(config: RunConfig) -> RunReport:
         # GCV methods also carry the exact G(mu)
         with_gcv = config.method in ("gcv", "classical-gcv")
         oracle = classical_select(problem, grid, "gcv" if with_gcv else "lcurve-sum")
-        rows = [{"mu": pt.mu,
-                 "solution_norm_oracle": float(pt.solution_norm),
-                 "residual_norm_oracle": float(pt.residual_norm)} for pt in oracle.points]
-        if with_gcv:
-            for row, value in zip(rows, oracle.criterion_values):
-                row["gcv_oracle"] = float(value)
         if config.method == "lcurve":
             result = lcurve_pipeline(problem, grid, config.n_phase_bits, config.epsilon,
                                      rng, repeats=config.repeats)
-            for row, pt, value in zip(rows, result.points, result.criterion_values):
-                row["solution_norm_est"] = float(pt.solution_norm)
-                row["residual_norm_est"] = float(pt.residual_norm)
-                row["criterion"] = float(value)
         elif config.method == "gcv":
             result = gcv_pipeline(problem, grid, config.rank, config.n_phase_bits,
                                   config.epsilon, rng, repeats=config.repeats)
-            for row, value in zip(rows, result.criterion_values):
-                row["gcv_est"] = float(value)
         else:  # classical-lcurve, classical-gcv
             result = oracle
-            for row, value in zip(rows, result.criterion_values):
-                row["criterion"] = float(value)
-        selection = {"chosen_index": result.chosen_index,
-                     "chosen_mu": float(result.chosen_mu)}
+        rows = []
+        for exact, got in zip(oracle.rows, result.rows):
+            row = {"mu": exact.mu, "solution_norm_oracle": exact.solution_norm,
+                   "residual_norm_oracle": exact.residual_norm}
+            if with_gcv:
+                row["gcv_oracle"] = exact.criterion
+            if config.method == "lcurve":
+                row["solution_norm_est"] = got.solution_norm
+                row["residual_norm_est"] = got.residual_norm
+            row["gcv_est" if config.method == "gcv" else "criterion"] = got.criterion
+            rows.append(row)
+        selection = {"chosen_index": result.chosen_index, "chosen_mu": result.chosen_mu}
         queries = result.queries_used
 
     # a file input is named by the SHA-256 of its bytes, not by its path, and has

@@ -14,16 +14,17 @@ phase-estimation leakage that no error budget accounts for.  A register too
 narrow to give each eigenvalue its own cell raises SpectrumResolutionError.
 The states follow the statevector layout [flags, phase, system], as
 (2^flags, 2^n, 2^k) amplitudes: each rotated ancilla is a fresh flag
-inserted above the phase register.  Each stage reads n and k off the shape
-of the state it is handed and refuses, by ValueError, a wrong flag count.
+inserted above the phase register.  Each stage reads n and k off the shape of
+the state it is handed and refuses, by ValueError, a wrong flag count or k.
 
 The per-mu step is the chain solver -> A x -> residual: each stage takes the
-previous stage's state, and each estimator reads the state it is handed.  C~
-(rotation_constant) and the evolution time come from the classical SVD.
+previous stage's state, and each estimator reads its state into an Estimate.
+C~ (rotation_constant) and the evolution time come from the classical SVD.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,16 @@ ZERO_MATRIX = ("A is the zero matrix: sigma_max = 0 leaves nothing to scale the 
 
 class SpectrumResolutionError(RuntimeError):
     """Phase register too narrow to separate the dilation eigenvalues."""
+
+
+class Estimate(NamedTuple):
+    """A norm read off the good branch's angle theta as theta_tilde on ae_bits bits."""
+
+    norm: float
+    theta: float
+    theta_tilde: float
+    ae_bits: int
+    queries: int
 
 
 def rotation_constant(ext: ExtendedMatrix) -> float:
@@ -81,11 +92,13 @@ def prepare_b_state(b: np.ndarray, width: int) -> StateVector:
     return StateVector(width, amps)
 
 
-def _layout(state: StateVector, flags: int, stage: str) -> tuple[int, int]:
-    """(n, k) read off a stage's input, which must carry `flags` flag qubits."""
-    shape = state.amplitudes.shape
-    if len(shape) != 3 or shape[0] != 2**flags:
-        raise ValueError(f"{stage} expects the (2^{flags}, 2^n, 2^k) amplitudes of a "
+def _layout(state: StateVector, ext: ExtendedMatrix, flags: int, stage: str
+            ) -> tuple[int, int]:
+    """(n, k) read off a stage's input: `flags` flag qubits on ext's system register
+    (a 2x2 and a 3x2 A both pad to 8 rows, so a state of one passes for the other)."""
+    shape, rows = state.amplitudes.shape, ext.dilation.shape[0]
+    if len(shape) != 3 or shape[0] != 2**flags or shape[2] != rows:
+        raise ValueError(f"{stage} expects the (2^{flags}, 2^n, {rows}) amplitudes of a "
                          f"state with {flags} flag qubit(s), got shape {shape}")
     return shape[1].bit_length() - 1, shape[2].bit_length() - 1
 
@@ -177,7 +190,7 @@ def apply_A_state(solution: StateVector, ext: ExtendedMatrix) -> StateVector:
     solution is hhl_solution_state(ext, b, n_phase_bits); its phase width is
     reused.  Register order: [hhl ancilla, multiply ancilla, phase, system].
     """
-    n, k = _layout(solution, 1, "apply_A_state")
+    n, k = _layout(solution, ext, 1, "apply_A_state")
     _check_capacity(n + k + 2)
     smax = ext.svd.sigma_max
     # the dilation of A alone: the (m, n, n) layout of ext.dilation at mu = 0
@@ -195,7 +208,7 @@ def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> State
     is the four leading qubits, so the good branch is row 0 of the
     (16, 2^n, 2^k) amplitudes.
     """
-    n, k = _layout(ax, 2, "residual_state")
+    n, k = _layout(ax, ext, 2, "residual_state")
     _check_capacity(n + k + 4)
     # Step 1: a selector qubit whose |0> carries ax and |1> carries -|b>
     # (phase 0, ancillas 00).  Step 2: amplitude balancing rotates a fresh
@@ -220,37 +233,38 @@ def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> State
 
 
 def _estimate(state: StateVector, scale: float, b: np.ndarray,
-              epsilon: float, rng: np.random.Generator, repeats: int) -> tuple[float, int]:
-    """(norm, queries) from the good branch, whose amplitude is scale * norm / ||b||."""
+              epsilon: float, rng: np.random.Generator, repeats: int) -> Estimate:
+    """The norm read off the good branch, whose amplitude is scale * norm / ||b||."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     n_ae = ae_bits_for_accuracy(scale * epsilon)
     theta = good_branch_angle(state.amplitudes)
     theta_tilde = estimate_theta(theta, n_ae, rng, repeats=repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))
-    return math.cos(theta_tilde) / scale * b_norm, ae_query_count(n_ae, repeats)
+    return Estimate(math.cos(theta_tilde) / scale * b_norm, theta, theta_tilde, n_ae,
+                    ae_query_count(n_ae, repeats))
 
 
 def estimate_solution_norm(solution: StateVector, ext: ExtendedMatrix, b: np.ndarray,
                            epsilon: float, rng: np.random.Generator, repeats: int = 1
-                           ) -> tuple[float, int]:
-    """(||x_mu|| to within epsilon * ||b||, queries), by amplitude estimation.
+                           ) -> Estimate:
+    """||x_mu|| to within epsilon * ||b||, by amplitude estimation.
 
     solution is hhl_solution_state(ext, b, n_phase_bits); its good flag is
     the ancilla, its first qubit.
     """
-    _layout(solution, 1, "estimate_solution_norm")
+    _layout(solution, ext, 1, "estimate_solution_norm")
     return _estimate(solution, rotation_constant(ext), b, epsilon, rng, repeats)
 
 
 def estimate_residual_norm(residual: StateVector, ext: ExtendedMatrix, b: np.ndarray,
                            epsilon: float, rng: np.random.Generator, repeats: int = 1
-                           ) -> tuple[float, int]:
-    """(||A x_mu - b|| to within epsilon * ||b||, queries).
+                           ) -> Estimate:
+    """||A x_mu - b|| to within epsilon * ||b||, by amplitude estimation.
 
     residual is residual_state(ax, ext, b).  The good flags are its four
     ancillas, its first four qubits.
     """
-    _layout(residual, 4, "estimate_residual_norm")
+    _layout(residual, ext, 4, "estimate_residual_norm")
     t = min(1.0, rotation_constant(ext) / ext.svd.sigma_max)
     return _estimate(residual, t / 2, b, epsilon, rng, repeats)

@@ -76,11 +76,6 @@ class SvdFactorization:
     def full_column_rank(self) -> bool:
         return self.m >= self.n and self.numerical_rank == self.n
 
-    def reconstruct(self) -> np.ndarray:
-        S = np.zeros((self.m, self.n))
-        np.fill_diagonal(S, self.sigma)
-        return self.U @ S @ self.V.conj().T
-
 
 @dataclass
 class TikhonovSolution:

@@ -4,11 +4,11 @@ The Grover-threshold minimum finder is simulated at the probability level:
 marked-set amplitudes after r Grover iterations are computed exactly and
 sampled, so query accounting and success statistics match the real loop.
 
-The pipelines run each branch's chain of states (solver, A x, residual; one
-branch per grid value), read the norms each criterion needs by amplitude
-estimation, and run the minimum finder on the criterion values.  Per the
-desk-scale concurrency model, the p branches are simulated independently and
-combined deterministically rather than as one tensor state.
+The pipelines share one per-mu loop: each branch (one per grid value) runs its
+chain of states (solver, A x, residual), reads the norms its criterion needs by
+amplitude estimation into a GridRow, and the minimum finder runs on the rows'
+criteria.  Per the desk-scale concurrency model, the p branches are simulated
+independently and combined deterministically rather than as one tensor state.
 
 Before its branches, the GCV pipeline samples the singular values of A by
 phase estimation on the vectorized dilation.  Its register distribution is a
@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .hhl import (
     ZERO_MATRIX,
+    Estimate,
     _phase_cells,
     apply_A_state,
     estimate_residual_norm,
@@ -70,23 +71,26 @@ class ParameterGrid:
         return cls(mus=mu0 * rho ** np.arange(1, p + 1))
 
 
-@dataclass
-class LCurvePoint:
+class GridRow(NamedTuple):
+    """One grid value's norms, criterion and Estimates; solution_norm is None for GCV."""
+
     mu: float
+    solution_norm: float | None
     residual_norm: float
-    solution_norm: float
+    criterion: float
+    estimates: tuple[Estimate, ...]
 
 
 @dataclass
 class SelectionResult:
-    """Chosen grid index plus the per-parameter criterion table and query budget."""
+    """Chosen grid index, the per-parameter criterion table and rows, and query budget."""
 
     chosen_index: int
     chosen_mu: float
     criterion_values: np.ndarray
     queries_used: int
     threshold_history: list[int]
-    points: list[LCurvePoint] | None = None
+    rows: list[GridRow]
 
 
 def durr_hoyer_budget(p: int) -> float:
@@ -103,7 +107,7 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator) -> SelectionRes
     if p < 1:
         raise ValueError("need at least one value")
     if p == 1:
-        return SelectionResult(0, math.nan, values, 0, [0])
+        return SelectionResult(0, math.nan, values, 0, [0], [])
     budget = durr_hoyer_budget(p)
     y = int(rng.integers(p))
     history = [y]
@@ -133,7 +137,7 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator) -> SelectionRes
             m = 1.0
         else:
             m = min(grow * m, math.sqrt(p))
-    return SelectionResult(y, math.nan, values, queries, history)
+    return SelectionResult(y, math.nan, values, queries, history, [])
 
 
 def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
@@ -151,32 +155,34 @@ def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
         raise type(exc)(f"{exc} (at mu = {mu:g})") from exc
 
 
+def _search(problem: RegularizedProblem, grid: ParameterGrid, svd: SvdFactorization,
+            row: Callable[[ExtendedMatrix], GridRow], rng: np.random.Generator
+            ) -> SelectionResult:
+    """row(ext) at every grid value, then minimum finding on the rows' criteria."""
+    rows, criterion = [], np.empty(grid.p)
+    for j, mu in enumerate(grid.mus):
+        rows.append(_at_mu(problem, svd, float(mu), row))
+        criterion[j] = rows[j].criterion
+    result = durr_hoyer_min(criterion, rng)
+    result.chosen_mu = float(grid.mus[result.chosen_index])
+    result.queries_used += sum(e.queries for r in rows for e in r.estimates)
+    result.rows = rows
+    return result
+
+
 def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bits: int,
                     epsilon: float, rng: np.random.Generator, repeats: int = 5
                     ) -> SelectionResult:
     """Parallel norm estimation followed by minimum finding on ||x||^2 + ||r||^2."""
-    def norms(ext: ExtendedMatrix) -> tuple[float, float, int]:
+    def row(ext: ExtendedMatrix) -> GridRow:
         state = hhl_solution_state(ext, problem.b, n_phase_bits)
-        sol, q_sol = estimate_solution_norm(state, ext, problem.b, epsilon, rng, repeats)
+        sol = estimate_solution_norm(state, ext, problem.b, epsilon, rng, repeats)
         state = apply_A_state(state, ext)
         state = residual_state(state, ext, problem.b)
-        res, q_res = estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
-        return sol, res, q_sol + q_res
+        res = estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
+        return GridRow(ext.mu, sol.norm, res.norm, sol.norm**2 + res.norm**2, (sol, res))
 
-    points = []
-    criterion = np.empty(grid.p)
-    queries = 0
-    svd = compute_svd(problem.A)
-    for j, mu in enumerate(grid.mus):
-        sol, res, q = _at_mu(problem, svd, float(mu), norms)
-        points.append(LCurvePoint(mu=float(mu), residual_norm=res, solution_norm=sol))
-        criterion[j] = sol**2 + res**2
-        queries += q
-    result = durr_hoyer_min(criterion, rng)
-    result.chosen_mu = float(grid.mus[result.chosen_index])
-    result.queries_used += queries
-    result.points = points
-    return result
+    return _search(problem, grid, compute_svd(problem.A), row, rng)
 
 
 def principal_singular_values(ext, r: int, n_bits: int, shots: int,
@@ -260,23 +266,18 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
         k = max(10 * r, math.ceil(10 * r * ratio))
         return k, principal_singular_values(ext, r, n_phase_bits, k, rng, eigvals)
 
-    def residual(ext: ExtendedMatrix) -> tuple[float, int]:
+    def row(ext: ExtendedMatrix) -> GridRow:
         state = hhl_solution_state(ext, problem.b, n_phase_bits)
         state = apply_A_state(state, ext)
         state = residual_state(state, ext, problem.b)
-        return estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
+        res = estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
+        value = gcv_lowrank(sigma_est, res.norm**2, problem.m, problem.n, ext.mu)
+        return GridRow(ext.mu, None, res.norm, value, (res,))
 
     svd = compute_svd(problem.A)
     shots, sigma_est = _at_mu(problem, svd, float(grid.mus[0]), sample)
-    criterion = np.empty(grid.p)
-    queries = shots
-    for j, mu in enumerate(grid.mus):
-        res, q = _at_mu(problem, svd, float(mu), residual)
-        criterion[j] = gcv_lowrank(sigma_est, res**2, problem.m, problem.n, float(mu))
-        queries += q
-    result = durr_hoyer_min(criterion, rng)
-    result.chosen_mu = float(grid.mus[result.chosen_index])
-    result.queries_used += queries
+    result = _search(problem, grid, svd, row, rng)
+    result.queries_used += shots
     return result
 
 
@@ -286,16 +287,14 @@ def classical_select(problem: RegularizedProblem, grid: ParameterGrid,
     if criterion not in ("lcurve-sum", "gcv"):
         raise ValueError(f"unknown criterion {criterion!r}")
     svd = compute_svd(problem.A)
-    values = np.empty(grid.p)
-    points = []
-    for j, mu in enumerate(grid.mus):
-        sol = tikhonov_solve(svd, problem.b, float(mu))
-        points.append(LCurvePoint(mu=float(mu), residual_norm=sol.residual_norm,
-                                  solution_norm=sol.solution_norm))
+    rows, values = [], np.empty(grid.p)
+    for j, mu in enumerate(map(float, grid.mus)):
+        sol = tikhonov_solve(svd, problem.b, mu)
         if criterion == "lcurve-sum":
             values[j] = sol.solution_norm**2 + sol.residual_norm**2
         else:
-            g = _gcv_trace(svd, float(mu))
+            g = _gcv_trace(svd, mu)
             values[j] = _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, g)
+        rows.append(GridRow(mu, sol.solution_norm, sol.residual_norm, float(values[j]), ()))
     j0 = int(np.argmin(values))
-    return SelectionResult(j0, float(grid.mus[j0]), values, grid.p, [j0], points=points)
+    return SelectionResult(j0, float(grid.mus[j0]), values, grid.p, [j0], rows)

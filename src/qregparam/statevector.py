@@ -59,10 +59,6 @@ class StateVector:
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"state is not normalized (norm {norm:.3e})")
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class UnitaryOp:

@@ -155,12 +155,12 @@ def test_06_norm_estimators():
     residual = residual_state(apply_A_state(solution, ext), ext, b)
     eps = 0.05
     sol_hits = sum(
-        abs(estimate_solution_norm(solution, ext, b, eps, np.random.default_rng(s))[0]
+        abs(estimate_solution_norm(solution, ext, b, eps, np.random.default_rng(s)).norm
             - 0.8) <= eps
         for s in range(100)
     )
     res_hits = sum(
-        abs(estimate_residual_norm(residual, ext, b, eps, np.random.default_rng(s))[0]
+        abs(estimate_residual_norm(residual, ext, b, eps, np.random.default_rng(s)).norm
             - 0.2) <= eps
         for s in range(100)
     )

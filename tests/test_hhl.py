@@ -237,16 +237,14 @@ class TestAngleContract:
                  (estimate_residual_norm, oracle.residual_norm, t / 2,
                   lambda: residual_of(ext, b, n_bits)))
         for estimator, norm, scale, state in cases:
-            angles = []
-            # an exact readout: estimate_theta returns the angle it is given
-            with mock.patch.object(hhl, "estimate_theta",
-                                   lambda theta, *_, **__: angles.append(theta) or theta):
-                try:
-                    got, _ = estimator(state(), ext, b, 0.05, np.random.default_rng(0))
-                except SpectrumResolutionError:  # the register cannot resolve A
-                    continue
-            assert math.cos(angles[0]) == pytest.approx(scale * norm / b_norm, abs=1e-10)
-            assert got == pytest.approx(norm, abs=1e-10 * b_norm / scale)
+            try:
+                got = estimator(state(), ext, b, 0.05, np.random.default_rng(0))
+            except SpectrumResolutionError:  # the register cannot resolve A
+                continue
+            assert math.cos(got.theta) == pytest.approx(scale * norm / b_norm, abs=1e-10)
+            # the norm is the one the sampled angle encodes
+            assert got.norm == pytest.approx(math.cos(got.theta_tilde) / scale * b_norm,
+                                             abs=1e-10 * b_norm / scale)
 
 
 class TestApplyAState:
@@ -314,6 +312,15 @@ class TestStageCheck:
         with self.refused("estimate_residual_norm", (2, 32, 8)):
             estimate_residual_norm(sol, ext, b, 0.05, np.random.default_rng(0))
 
+    def test_state_on_another_system_width(self, chain):
+        # the solver state of a 2x2 A (8 system amplitudes) against a 4x4 A's
+        # 16-row dilation: the message names the stage and both widths
+        _, _, sol, _, _ = chain
+        other = build_extended(np.diag([1.0, 0.8, 0.6, 0.4]), 0.5)
+        with pytest.raises(ValueError, match=r"^apply_A_state expects the \(2\^1, 2\^n, 16\) "
+                                             r"amplitudes .*, got shape \(2, 32, 8\)$"):
+            apply_A_state(sol, other)
+
 
 def residual_of(ext, b, n_bits):
     """The residual state at the end of the chain solver -> A x -> residual."""
@@ -347,7 +354,7 @@ class TestResidualState:
     def test_state_normalized(self, worked_problem):
         ext, b, n_bits = worked_problem
         st = residual_of(ext, b, n_bits)
-        assert st.norm == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
 def solution_norm(ext, b, n_bits, *args, **kwargs):
@@ -364,47 +371,47 @@ def residual_norm(ext, b, n_bits, *args, **kwargs):
 def both_norms(ext, b, n_bits, epsilon, rng, repeats=1):
     """The L-curve pipeline's per-mu step: the solver state, then the residual state."""
     state = hhl_solution_state(ext, b, n_bits)
-    sol, q_sol = estimate_solution_norm(state, ext, b, epsilon, rng, repeats)
+    sol = estimate_solution_norm(state, ext, b, epsilon, rng, repeats)
     state = residual_state(apply_A_state(state, ext), ext, b)
-    res, q_res = estimate_residual_norm(state, ext, b, epsilon, rng, repeats)
-    return sol, res, q_sol + q_res
+    res = estimate_residual_norm(state, ext, b, epsilon, rng, repeats)
+    return sol.norm, res.norm, sol.queries + res.queries
 
 
 class TestNormEstimators:
     def test_identity_solution_norm(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        got, _ = solution_norm(ext, np.array([1.0]), 4, 0.05,
-                               np.random.default_rng(0))
+        got = solution_norm(ext, np.array([1.0]), 4, 0.05,
+                            np.random.default_rng(0)).norm
         assert got == pytest.approx(1.0, abs=0.05)
 
     def test_worked_solution_norm(self, worked_problem):
         ext, b, n_bits = worked_problem
-        got, _ = solution_norm(ext, b, n_bits, 0.05, np.random.default_rng(1),
-                               repeats=5)
+        got = solution_norm(ext, b, n_bits, 0.05, np.random.default_rng(1),
+                            repeats=5).norm
         assert got == pytest.approx(0.8, abs=0.05)
 
     def test_large_mu_crushes_solution(self):
         ext = build_extended(np.array([[1.0]]), 1000.0)
-        got, _ = solution_norm(ext, np.array([1.0]), 5, 0.05,
-                               np.random.default_rng(2))
+        got = solution_norm(ext, np.array([1.0]), 5, 0.05,
+                            np.random.default_rng(2)).norm
         assert got <= 0.05
 
     def test_identity_residual_norm(self):
         ext = build_extended(np.array([[1.0]]), 0.0)
-        got, _ = residual_norm(ext, np.array([1.0]), 4, 0.05,
-                               np.random.default_rng(3))
+        got = residual_norm(ext, np.array([1.0]), 4, 0.05,
+                            np.random.default_rng(3)).norm
         assert got == pytest.approx(0.0, abs=0.05)
 
     def test_worked_residual_norm(self, worked_problem):
         ext, b, n_bits = worked_problem
-        got, _ = residual_norm(ext, b, n_bits, 0.05, np.random.default_rng(4),
-                               repeats=5)
+        got = residual_norm(ext, b, n_bits, 0.05, np.random.default_rng(4),
+                            repeats=5).norm
         assert got == pytest.approx(0.2, abs=0.05)
 
     def test_huge_mu_residual_is_b_norm(self):
         ext = build_extended(np.array([[1.0]]), 1000.0)
         b = np.array([5.0])
-        got, _ = residual_norm(ext, b, 5, 0.05, np.random.default_rng(5))
+        got = residual_norm(ext, b, 5, 0.05, np.random.default_rng(5)).norm
         assert got == pytest.approx(5.0, abs=0.05 * 5.0)
 
     def test_combined_accounting(self, worked_problem):
@@ -430,8 +437,8 @@ class TestNormEstimators:
             oracle = tikhonov_solve(ext.svd, prob.b, mu)
             b_norm = np.linalg.norm(prob.b)
             eps = 0.05
-            sol, _ = solution_norm(ext, prob.b, 6, eps, np.random.default_rng(s))
-            res, _ = residual_norm(ext, prob.b, 6, eps, np.random.default_rng(s))
+            sol = solution_norm(ext, prob.b, 6, eps, np.random.default_rng(s)).norm
+            res = residual_norm(ext, prob.b, 6, eps, np.random.default_rng(s)).norm
             hits += abs(sol - oracle.solution_norm) <= eps * b_norm
             hits += abs(res - oracle.residual_norm) <= eps * b_norm
             total += 2

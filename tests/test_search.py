@@ -26,9 +26,11 @@ from qregparam import (
     hhl_solution_state,
     lcurve_pipeline,
     residual_state,
+    rotation_constant,
     tikhonov_solve,
 )
 from qregparam import hhl, linalg, search
+from qregparam.amplitude import ae_bits_for_accuracy, ae_query_count
 from qregparam.search import durr_hoyer_budget, principal_singular_values
 from qregparam.statevector import MAX_QUBITS, StateVector, qpe_forward
 
@@ -136,9 +138,9 @@ class TestLCurvePipeline:
         solution = hhl_solution_state(ext, prob.b, 6)
         residual = residual_state(apply_A_state(solution, ext), ext, prob.b)
         rng = np.random.default_rng(1)
-        sol, _ = estimate_solution_norm(solution, ext, prob.b, 0.05, rng, repeats=3)
-        res_norm, _ = estimate_residual_norm(residual, ext, prob.b, 0.05, rng, repeats=3)
-        pt = res.points[0]
+        sol = estimate_solution_norm(solution, ext, prob.b, 0.05, rng, repeats=3).norm
+        res_norm = estimate_residual_norm(residual, ext, prob.b, 0.05, rng, repeats=3).norm
+        pt = res.rows[0]
         assert pt.solution_norm == pytest.approx(sol, abs=1e-12)
         assert pt.residual_norm == pytest.approx(res_norm, abs=1e-12)
 
@@ -364,6 +366,76 @@ class TestStateLifetimes:
         lcurve_pipeline(prob, grid, 6, 0.05, np.random.default_rng(0), repeats=1)
         gcv_pipeline(prob, grid, 2, 6, 0.05, np.random.default_rng(0), repeats=1)
         assert freed == [True] * (2 * grid.p)
+
+
+class TestRows:
+    """Every selector returns one row per grid value; a pipeline's rows carry the
+    estimates behind their norms, and those account for every query."""
+
+    @pytest.mark.parametrize("kind,m,n", [("geometric-spectrum", 4, 4), ("low-rank", 6, 4)])
+    def test_pipeline_rows_match_oracle_angles(self, kind, m, n, monkeypatch):
+        prob = generate_problem(kind, m, n, 0.01, seed=0)
+        grid = ParameterGrid.geometric(1.0, 0.8, 4)
+        epsilon, repeats = 0.05, 3
+        # what minimum finding spent, read before the pipeline adds to it, and
+        # the GCV sampling shots
+        dh_queries, shots = [], []
+
+        def recorded_dh(values, rng):
+            result = durr_hoyer_min(values, rng)
+            dh_queries.append(result.queries_used)
+            return result
+
+        def recorded_sampling(ext, r, n_bits, k, rng, eigvals=None):
+            shots.append(k)
+            return principal_singular_values(ext, r, n_bits, k, rng, eigvals)
+
+        monkeypatch.setattr(search, "durr_hoyer_min", recorded_dh)
+        monkeypatch.setattr(search, "principal_singular_values", recorded_sampling)
+        lcurve = lcurve_pipeline(prob, grid, 10, epsilon, np.random.default_rng(0), repeats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gcv = gcv_pipeline(prob, grid, min(m, n) // 2, 10, epsilon,
+                               np.random.default_rng(0), repeats)
+        svd = compute_svd(prob.A)
+        b_norm = np.linalg.norm(prob.b)
+        for result, spent in ((lcurve, dh_queries[0]), (gcv, dh_queries[1] + shots[0])):
+            assert [row.mu for row in result.rows] == list(grid.mus)
+            assert [row.criterion for row in result.rows] == list(result.criterion_values)
+            for row in result.rows:
+                ext = build_extended(prob.A, row.mu, svd)
+                oracle = tikhonov_solve(svd, prob.b, row.mu)
+                c_tilde = rotation_constant(ext)
+                t = min(1.0, c_tilde / svd.sigma_max)
+                # (scale, oracle norm) of the solution and residual estimates
+                scaled = [(c_tilde, oracle.solution_norm), (t / 2, oracle.residual_norm)]
+                if result is gcv:
+                    assert row.solution_norm is None
+                    scaled = scaled[1:]
+                else:
+                    assert row.solution_norm == row.estimates[0].norm
+                    assert row.criterion == row.solution_norm**2 + row.residual_norm**2
+                assert row.residual_norm == row.estimates[-1].norm
+                assert len(row.estimates) == len(scaled)
+                for est, (scale, norm) in zip(row.estimates, scaled):
+                    assert est.theta == pytest.approx(
+                        math.acos(min(1.0, scale * norm / b_norm)), abs=1e-10)
+                    assert est.ae_bits == ae_bits_for_accuracy(scale * epsilon)
+                    assert est.queries == ae_query_count(est.ae_bits, repeats)
+                    spent += est.queries
+            assert spent == result.queries_used
+
+    @pytest.mark.parametrize("criterion", ["lcurve-sum", "gcv"])
+    def test_classical_rows_are_exact_norms(self, criterion):
+        prob = random_problem(np.random.default_rng(6), 4, 3)
+        grid = ParameterGrid.geometric(1.0, 0.7, 5)
+        svd = compute_svd(prob.A)
+        res = classical_select(prob, grid, criterion)
+        assert len(res.rows) == grid.p
+        for row, mu, value in zip(res.rows, grid.mus, res.criterion_values):
+            sol = tikhonov_solve(svd, prob.b, float(mu))
+            assert (row.mu, row.solution_norm, row.residual_norm, row.criterion,
+                    row.estimates) == (mu, sol.solution_norm, sol.residual_norm, value, ())
 
 
 class TestClassicalSelect:
