@@ -28,6 +28,7 @@ from .search import ParameterGrid, classical_select, gcv_pipeline, lcurve_pipeli
 log = logging.getLogger("qregparam")
 
 METHODS = ("lcurve", "gcv", "classical-lcurve", "classical-gcv", "tikhonov", "tsvd")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 @dataclass
@@ -198,9 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("QREGPARAM_LOG", "WARNING").upper())
     config = RunConfig(**vars(build_parser().parse_args(argv)))
+    level = os.environ.get("QREGPARAM_LOG", "WARNING")
     try:
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ValueError(f"QREGPARAM_LOG={level!r} is not one of {', '.join(LOG_LEVELS)}")
+        logging.basicConfig(level=level.upper())
         report = run(config)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -19,7 +19,9 @@ the state it is handed and refuses, by ValueError, a wrong flag count or k.
 
 The per-mu step is the chain solver -> A x -> residual: each stage takes the
 previous stage's state, and each estimator reads its state into an Estimate.
-C~ (rotation_constant) and the evolution time come from the classical SVD.
+The A x stage runs on A's own extended matrix (mu = 0); phase estimation reads
+the eigendecomposition each ExtendedMatrix holds.  C~ (rotation_constant) and
+the evolution time come from the classical SVD.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .amplitude import (
     estimate_theta,
     good_branch_angle,
 )
-from .linalg import ExtendedMatrix, _dilation
+from .linalg import ExtendedMatrix
 from .statevector import (
     StateVector,
     _check_capacity,
@@ -103,11 +105,11 @@ def _layout(state: StateVector, ext: ExtendedMatrix, flags: int, stage: str
     return shape[1].bit_length() - 1, shape[2].bit_length() - 1
 
 
-def _phase_cells(H: np.ndarray, t: float, n_bits: int
+def _phase_cells(eig: tuple[np.ndarray, np.ndarray], t: float, n_bits: int
                  ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """The snapped evolution e^{-i t H} as (V, phases), and each cell's eigenvalue.
 
-    A distinct nonzero eigenvalue lambda owns the phase cell
+    eig = eigh(H) = (w, V).  A distinct nonzero eigenvalue lambda owns the phase cell
     y = round(2^n_bits ((-lambda t / 2 pi) mod 1)); an eigenvalue within the
     zero tolerance of its sorted predecessor shares that cell, and a zero
     eigenvalue gets phase 0.  The evolution is V diag(e^{2 pi i phases}) V^dag
@@ -117,7 +119,7 @@ def _phase_cells(H: np.ndarray, t: float, n_bits: int
     Raises SpectrumResolutionError if two distinct eigenvalues share a cell or
     a nonzero eigenvalue rounds to cell 0.
     """
-    w, V = np.linalg.eigh(H)  # ascending eigenvalues
+    w, V = eig  # ascending eigenvalues
     if np.max(np.abs(w)) * t >= math.pi:
         raise ValueError("t_evolution does not scale all eigenvalues into (-pi, pi)")
     N = 2**n_bits
@@ -168,7 +170,7 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) ->
     """
     c_tilde = rotation_constant(ext)
     t = math.pi / (2.0 * math.sqrt(ext.svd.sigma_max**2 + ext.mu**2))
-    eig, lam = _phase_cells(ext.dilation, t, n_phase_bits)
+    eig, lam = _phase_cells(ext.eig, t, n_phase_bits)
     lam_min = float(np.min(np.abs(lam[lam != 0]), initial=np.inf))
     if c_tilde > lam_min * (1 + 1e-9):
         raise ValueError(
@@ -184,17 +186,19 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) ->
     return qpe_inverse(state, eig)
 
 
-def apply_A_state(solution: StateVector, ext: ExtendedMatrix) -> StateVector:
+def apply_A_state(solution: StateVector, ext_A: ExtendedMatrix) -> StateVector:
     """Good branch (both ancillas |0>) proportional to A x_mu with amplitude C ||x_mu||.
 
     solution is hhl_solution_state(ext, b, n_phase_bits); its phase width is
-    reused.  Register order: [hhl ancilla, multiply ancilla, phase, system].
+    reused.  ext_A is A's own extended matrix build_extended(A, 0.0, svd).
+    Register order: [hhl ancilla, multiply ancilla, phase, system].
     """
-    n, k = _layout(solution, ext, 1, "apply_A_state")
+    if ext_A.mu != 0:
+        raise ValueError(f"apply_A_state runs at mu = 0 (A's own matrix), got mu = {ext_A.mu:g}")
+    n, k = _layout(solution, ext_A, 1, "apply_A_state")
     _check_capacity(n + k + 2)
-    smax = ext.svd.sigma_max
-    # the dilation of A alone: the (m, n, n) layout of ext.dilation at mu = 0
-    eig2, lam2 = _phase_cells(_dilation(ext.A, 0.0), math.pi / (2.0 * smax), n)
+    smax = ext_A.svd.sigma_max
+    eig2, lam2 = _phase_cells(ext_A.eig, math.pi / (2.0 * smax), n)
     state = qpe_forward(solution, eig2)
     state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0))
     return qpe_inverse(state, eig2)
@@ -203,7 +207,7 @@ def apply_A_state(solution: StateVector, ext: ExtendedMatrix) -> StateVector:
 def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:
     """All-ancillas-zero component equals (t/2)(||x_mu|| A|x_mu> - |b>), b normalized.
 
-    ax is apply_A_state(solution, ext).  Register order: [hhl ancilla,
+    ax is apply_A_state(solution, ext_A).  Register order: [hhl ancilla,
     multiply ancilla, selector, rotation qubit, phase, system]; the good flag
     is the four leading qubits, so the good branch is row 0 of the
     (16, 2^n, 2^k) amplitudes.

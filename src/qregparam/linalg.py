@@ -87,7 +87,7 @@ class TikhonovSolution:
     residual_norm: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtendedMatrix:
     """The stacked matrix (A; mu I), held as its Hermitian block-antidiagonal dilation.
 
@@ -98,13 +98,17 @@ class ExtendedMatrix:
     dilation: np.ndarray
     A: np.ndarray = field(repr=False)
     svd: SvdFactorization = field(repr=False)
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)  # eigh(dilation)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eig", np.linalg.eigh(self.dilation))
 
 
 def compute_svd(A: np.ndarray) -> SvdFactorization:
     """Full SVD with descending singular values; raises on LAPACK failure."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.size == 0:
-        raise ValueError("cannot factor an empty matrix")
+    if A.size == 0 or not np.all(np.isfinite(A)):  # numpy's SVD turns inf into nan silently
+        raise ValueError(f"cannot factor an empty or non-finite {A.shape[0]}x{A.shape[1]} matrix")
     try:
         U, s, Vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -181,7 +185,7 @@ def condition_number_mu(svd: SvdFactorization, mu: float) -> float:
 def _dilation(A: np.ndarray, mu: float) -> np.ndarray:
     """Hermitian dilation of (A; mu I) in the layout build_extended describes.
 
-    At mu = 0 it is the dilation of A alone, with the same (m, n, n) blocks.
+    At mu = 0 it is A's own dilation, in the same (m, n, n) blocks, for the A x stage.
     """
     m, n = A.shape
     K = 2 ** max(1, (m + 2 * n - 1).bit_length())
@@ -201,8 +205,8 @@ def build_extended(A: np.ndarray, mu: float,
     Dilation layout is the 3-block form ((0,0,A),(0,0,mu I),(A^dag,mu I,0)),
     with row/column blocks of sizes (m, n, n), zero-padded to 2^k x 2^k for
     the smallest k >= 1 with 2^k >= m + 2n.  Its nonzero eigenvalues are
-    +-sqrt(sigma_i^2 + mu^2).  svd is compute_svd(A) when the caller already
-    has it (a pipeline factors A once for every grid value).
+    +-sqrt(sigma_i^2 + mu^2); the A x stage runs on A's own, at mu = 0.  svd is
+    compute_svd(A) when the caller already has it (a pipeline factors A once).
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")

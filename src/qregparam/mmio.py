@@ -69,17 +69,20 @@ def load_matrix(path) -> np.ndarray:
     except ValueError:
         _fail(size_lineno, f"cannot parse size line {size_line!r}")
     m, n = dims[:2]
+    if m < 1 or n < 1 or min(dims[2:], default=0) < 0:
+        _fail(size_lineno, f"size line {size_line!r} needs m, n >= 1 and nnz >= 0")
     if symmetry != "general" and m != n:
         _fail(size_lineno, f"a {symmetry} matrix must be square, size line gives {m}x{n}")
 
+    entries = body[1:]
+    expected, what = ((dims[2], "entries") if fmt == "coordinate" else
+                      (m * n if symmetry == "general" else m * (m + 1) // 2, "array values"))
+    if len(entries) != expected:
+        lineno = entries[-1][0] if entries else size_lineno
+        _fail(lineno, f"expected {expected} {what}, found {len(entries)}")
+    M = np.zeros((m, n), dtype=complex)
     if fmt == "coordinate":
-        nnz = dims[2]
-        M = np.zeros((m, n), dtype=complex)
         seen = {}
-        entries = body[1:]
-        if len(entries) != nnz:
-            lineno = entries[-1][0] if entries else size_lineno
-            _fail(lineno, f"expected {nnz} entries, found {len(entries)}")
         for lineno, ln in entries:
             tokens = ln.split()
             if len(tokens) < 2:
@@ -103,12 +106,6 @@ def load_matrix(path) -> np.ndarray:
                 M[j - 1, i - 1] = v.conjugate() if symmetry == "hermitian" else v
         return M
 
-    entries = body[1:]
-    expected = m * n if symmetry == "general" else m * (m + 1) // 2
-    if len(entries) != expected:
-        lineno = entries[-1][0] if entries else size_lineno
-        _fail(lineno, f"expected {expected} array values, found {len(entries)}")
-    M = np.zeros((m, n), dtype=complex)
     if symmetry == "general":
         cols, rows = np.divmod(np.arange(m * n), m)  # column-major
     else:

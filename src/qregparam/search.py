@@ -7,7 +7,8 @@ sampled, so query accounting and success statistics match the real loop.
 The pipelines share one per-mu loop: each branch (one per grid value) runs its
 chain of states (solver, A x, residual), reads the norms its criterion needs by
 amplitude estimation into a GridRow, and the minimum finder runs on the rows'
-criteria.  Per the desk-scale concurrency model, the p branches are simulated
+criteria; every A x stage runs on A's own extended matrix (mu = 0), built once.
+Per the desk-scale concurrency model, the p branches are simulated
 independently and combined deterministically rather than as one tensor state.
 
 Before its branches, the GCV pipeline samples the singular values of A by
@@ -37,7 +38,6 @@ from .hhl import (
 from .linalg import (
     ExtendedMatrix,
     RegularizedProblem,
-    SvdFactorization,
     build_extended,
     compute_svd,
     gcv_lowrank,
@@ -140,28 +140,27 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator) -> SelectionRes
     return SelectionResult(y, math.nan, values, queries, history, [])
 
 
-def _at_mu(problem: RegularizedProblem, svd: SvdFactorization, mu: float,
-           step: Callable[[ExtendedMatrix], Any]) -> Any:
+def _at_mu(ext_A: ExtendedMatrix, mu: float, step: Callable[[ExtendedMatrix], Any]) -> Any:
     """Run step(ext) on ext = (A; mu I).
 
-    svd = compute_svd(problem.A), factored once per pipeline.  A ValueError or
-    RuntimeError keeps its type and gains "(at mu = ...)"; any other
-    exception reaches the caller unchanged.
+    ext_A = build_extended(A, 0.0), built once per pipeline, lends ext A and its
+    SVD.  A ValueError or RuntimeError, from building ext or from the step,
+    keeps its type and gains "(at mu = ...)"; any other exception reaches the
+    caller unchanged.
     """
-    ext = build_extended(problem.A, mu, svd)
     try:
-        return step(ext)
+        return step(build_extended(ext_A.A, mu, ext_A.svd))
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{exc} (at mu = {mu:g})") from exc
 
 
-def _search(problem: RegularizedProblem, grid: ParameterGrid, svd: SvdFactorization,
+def _search(ext_A: ExtendedMatrix, grid: ParameterGrid,
             row: Callable[[ExtendedMatrix], GridRow], rng: np.random.Generator
             ) -> SelectionResult:
     """row(ext) at every grid value, then minimum finding on the rows' criteria."""
     rows, criterion = [], np.empty(grid.p)
     for j, mu in enumerate(grid.mus):
-        rows.append(_at_mu(problem, svd, float(mu), row))
+        rows.append(_at_mu(ext_A, float(mu), row))
         criterion[j] = rows[j].criterion
     result = durr_hoyer_min(criterion, rng)
     result.chosen_mu = float(grid.mus[result.chosen_index])
@@ -177,24 +176,24 @@ def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bi
     def row(ext: ExtendedMatrix) -> GridRow:
         state = hhl_solution_state(ext, problem.b, n_phase_bits)
         sol = estimate_solution_norm(state, ext, problem.b, epsilon, rng, repeats)
-        state = apply_A_state(state, ext)
+        state = apply_A_state(state, ext_A)
         state = residual_state(state, ext, problem.b)
         res = estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
         return GridRow(ext.mu, sol.norm, res.norm, sol.norm**2 + res.norm**2, (sol, res))
 
-    return _search(problem, grid, compute_svd(problem.A), row, rng)
+    ext_A = build_extended(problem.A, 0.0)
+    return _search(ext_A, grid, row, rng)
 
 
-def principal_singular_values(ext, r: int, n_bits: int, shots: int,
-                              rng: np.random.Generator,
-                              eigvals: np.ndarray | None = None) -> np.ndarray:
+def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: int,
+                              rng: np.random.Generator) -> np.ndarray:
     """Singular values of A recovered by QPE sampling on the vectorized dilation.
 
     The circuit prepares |A~> proportional to the entries of the padded
     dilation H, runs phase estimation with e^{-i t H} on the row register,
     samples the phase register, merges outcomes with equal magnitude, and
-    converts sigma~ -> sqrt(sigma~^2 - mu^2).  eigvals is
-    np.linalg.eigvalsh(ext.dilation) when the caller already has it.
+    converts sigma~ -> sqrt(sigma~^2 - mu^2).  The cells come from ext.eig, and
+    t = pi / (2 lambda_max) from an eigvalsh of ext.dilation.
 
     The register distribution is evaluated in closed form, without the
     2^(n_bits + 2k)-amplitude state.  With H = sum_l lambda_l v_l v_l^dag,
@@ -213,11 +212,10 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
         raise ValueError("r must be >= 1")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if not np.any(ext.A):
+    if ext.svd.sigma_max == 0:
         raise ValueError(ZERO_MATRIX)
     k = ext.dilation.shape[0].bit_length() - 1
-    w = np.linalg.eigvalsh(ext.dilation) if eigvals is None else eigvals
-    lam_max = float(np.max(np.abs(w)))
+    w = np.linalg.eigvalsh(ext.dilation)  # t enters sigma~ bit for bit; eigh's last bits differ
     # the premise is about A: its sigma^2 = lambda^2 - mu^2, once per sign of lambda
     sigma_sq = np.sort(np.maximum(w**2 - ext.mu**2, 0.0))[::-1]
     mass = np.sum(sigma_sq[: 2 * r]) / np.sum(sigma_sq)
@@ -228,8 +226,8 @@ def principal_singular_values(ext, r: int, n_bits: int, shots: int,
             RuntimeWarning,
             stacklevel=2,
         )
-    t = math.pi / (2.0 * lam_max)
-    (_, phases), lam_by_cell = _phase_cells(ext.dilation, t, n_bits)
+    t = math.pi / (2.0 * float(np.max(np.abs(w))))
+    (_, phases), lam_by_cell = _phase_cells(ext.eig, t, n_bits)
     _check_capacity(n_bits + 2 * k)
     if shots > 2**MAX_QUBITS:
         raise CapacityError(f"{shots} shots exceed the {2**MAX_QUBITS}-draw capacity")
@@ -259,24 +257,23 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
                  repeats: int = 5) -> SelectionResult:
     """Singular-value extraction, parallel residual estimation, min of G(mu_j)."""
     def sample(ext: ExtendedMatrix) -> tuple[int, np.ndarray]:
-        eigvals = np.linalg.eigvalsh(ext.dilation)
-        w = np.abs(eigvals)
+        w = np.abs(ext.eig[0])
         nz = np.sort(w[w > 1e-12 * w.max()])
         ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
         k = max(10 * r, math.ceil(10 * r * ratio))
-        return k, principal_singular_values(ext, r, n_phase_bits, k, rng, eigvals)
+        return k, principal_singular_values(ext, r, n_phase_bits, k, rng)
 
     def row(ext: ExtendedMatrix) -> GridRow:
         state = hhl_solution_state(ext, problem.b, n_phase_bits)
-        state = apply_A_state(state, ext)
+        state = apply_A_state(state, ext_A)
         state = residual_state(state, ext, problem.b)
         res = estimate_residual_norm(state, ext, problem.b, epsilon, rng, repeats)
         value = gcv_lowrank(sigma_est, res.norm**2, problem.m, problem.n, ext.mu)
         return GridRow(ext.mu, None, res.norm, value, (res,))
 
-    svd = compute_svd(problem.A)
-    shots, sigma_est = _at_mu(problem, svd, float(grid.mus[0]), sample)
-    result = _search(problem, grid, svd, row, rng)
+    ext_A = build_extended(problem.A, 0.0)
+    shots, sigma_est = _at_mu(ext_A, float(grid.mus[0]), sample)
+    result = _search(ext_A, grid, row, rng)
     result.queries_used += shots
     return result
 

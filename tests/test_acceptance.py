@@ -152,7 +152,7 @@ def test_06_norm_estimators():
     ext = build_extended(np.diag([1.0, 0.5]), 0.5)
     b = np.array([1.0, 0.0])
     solution = hhl_solution_state(ext, b, 5)
-    residual = residual_state(apply_A_state(solution, ext), ext, b)
+    residual = residual_state(apply_A_state(solution, build_extended(ext.A, 0.0)), ext, b)
     eps = 0.05
     sol_hits = sum(
         abs(estimate_solution_norm(solution, ext, b, eps, np.random.default_rng(s)).norm

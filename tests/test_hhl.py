@@ -143,7 +143,7 @@ class TestPhaseCells:
         ext = build_extended(np.eye(3), 0.5)
         Hd = ext.dilation
         t = math.pi / (2 * math.sqrt(ext.svd.sigma_max**2 + 0.25))
-        (_, phases), lam = hhl._phase_cells(Hd, t, 4)
+        (_, phases), lam = hhl._phase_cells(np.linalg.eigh(Hd), t, 4)
         w = np.linalg.eigvalsh(Hd)
         top = math.sqrt(1.25)
         # +-sqrt(1 + mu^2), three times each, own one cell per sign
@@ -160,7 +160,8 @@ class TestPhaseCells:
     def test_zero_eigenvalues_get_phase_zero(self):
         ext = build_extended(np.eye(3), 0.5)
         Hd = ext.dilation
-        (_, phases), lam = hhl._phase_cells(Hd, math.pi / (2 * math.sqrt(1.25)), 4)
+        (_, phases), lam = hhl._phase_cells(np.linalg.eigh(Hd),
+                                            math.pi / (2 * math.sqrt(1.25)), 4)
         zero = np.abs(np.linalg.eigvalsh(Hd)) < 1e-12
         assert np.count_nonzero(zero) == Hd.shape[0] - 6
         assert np.all(phases[zero] == 0.0) and np.all(phases[~zero] != 0.0)
@@ -172,11 +173,11 @@ class TestPhaseCells:
         ext = build_extended(np.diag([1.0, 1e-4]), 0.5)
         solution = hhl_solution_state(ext, np.array([1.0, 1.0]), 6)
         with pytest.raises(SpectrumResolutionError, match="gap"):
-            apply_A_state(solution, ext)
+            apply_A_state(solution, build_extended(ext.A, 0.0))
         # a dilation's +-sigma pair also collides; a lone eigenvalue in cell 0
         # is refused as well
         with pytest.raises(SpectrumResolutionError, match="gap"):
-            hhl._phase_cells(np.diag([1.0, 1e-4]), math.pi / 2, 6)
+            hhl._phase_cells(np.linalg.eigh(np.diag([1.0, 1e-4])), math.pi / 2, 6)
 
 
 class TestGateLevelReference:
@@ -193,7 +194,7 @@ class TestGateLevelReference:
 
         def states():
             sol = hhl_solution_state(ext, b, n_bits)
-            ax = apply_A_state(sol, ext)
+            ax = apply_A_state(sol, build_extended(ext.A, 0.0))
             return sol, ax, residual_state(ax, ext, b)
 
         gate_level = (
@@ -258,7 +259,7 @@ class TestApplyAState:
 
     def test_worked_good_branch(self, worked_problem):
         ext, b, n = worked_problem
-        st = apply_A_state(hhl_solution_state(ext, b, n), ext)
+        st = apply_A_state(hhl_solution_state(ext, b, n), build_extended(ext.A, 0.0))
         k = st.num_qubits - n - 2
         good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         C = rotation_constant(ext) / ext.svd.sigma_max
@@ -271,10 +272,17 @@ class TestApplyAState:
         # b orthogonal to range(A): x_mu = 0 and the good branch vanishes
         A = np.array([[1.0], [0.0]])
         ext = build_extended(A, 0.4)
-        st = apply_A_state(hhl_solution_state(ext, np.array([0.0, 1.0]), 5), ext)
+        st = apply_A_state(hhl_solution_state(ext, np.array([0.0, 1.0]), 5),
+                           build_extended(ext.A, 0.0))
         n, k = 5, st.num_qubits - 5 - 2
         good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         assert np.linalg.norm(good) < 1e-10
+
+    def test_refuses_an_extended_matrix_with_mu(self, worked_problem):
+        # the stage runs on A's own extended matrix; (A; mu I) is the solver's
+        ext, b, n = worked_problem
+        with pytest.raises(ValueError, match=r"^apply_A_state runs at mu = 0 .*got mu = 0\.5$"):
+            apply_A_state(hhl_solution_state(ext, b, n), ext)
 
 
 class TestStageCheck:
@@ -285,7 +293,7 @@ class TestStageCheck:
         # 2x2 A: the dilation is 8 x 8 (k = 3); 5 phase bits
         ext, b, n_bits = worked_problem
         sol = hhl_solution_state(ext, b, n_bits)
-        ax = apply_A_state(sol, ext)
+        ax = apply_A_state(sol, build_extended(ext.A, 0.0))
         return ext, b, sol, ax, residual_state(ax, ext, b)
 
     @staticmethod
@@ -300,7 +308,7 @@ class TestStageCheck:
     def test_ax_state_to_apply_A_state(self, chain):
         ext, _, _, ax, _ = chain
         with self.refused("apply_A_state", (4, 32, 8)):
-            apply_A_state(ax, ext)
+            apply_A_state(ax, build_extended(ext.A, 0.0))
 
     def test_residual_state_to_estimate_solution_norm(self, chain):
         ext, b, _, _, res = chain
@@ -319,12 +327,12 @@ class TestStageCheck:
         other = build_extended(np.diag([1.0, 0.8, 0.6, 0.4]), 0.5)
         with pytest.raises(ValueError, match=r"^apply_A_state expects the \(2\^1, 2\^n, 16\) "
                                              r"amplitudes .*, got shape \(2, 32, 8\)$"):
-            apply_A_state(sol, other)
+            apply_A_state(sol, build_extended(other.A, 0.0))
 
 
 def residual_of(ext, b, n_bits):
     """The residual state at the end of the chain solver -> A x -> residual."""
-    ax = apply_A_state(hhl_solution_state(ext, b, n_bits), ext)
+    ax = apply_A_state(hhl_solution_state(ext, b, n_bits), build_extended(ext.A, 0.0))
     return residual_state(ax, ext, b)
 
 
@@ -372,7 +380,7 @@ def both_norms(ext, b, n_bits, epsilon, rng, repeats=1):
     """The L-curve pipeline's per-mu step: the solver state, then the residual state."""
     state = hhl_solution_state(ext, b, n_bits)
     sol = estimate_solution_norm(state, ext, b, epsilon, rng, repeats)
-    state = residual_state(apply_A_state(state, ext), ext, b)
+    state = residual_state(apply_A_state(state, build_extended(ext.A, 0.0)), ext, b)
     res = estimate_residual_norm(state, ext, b, epsilon, rng, repeats)
     return sol.norm, res.norm, sol.queries + res.queries
 

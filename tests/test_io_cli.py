@@ -123,6 +123,19 @@ class TestMatrixMarket:
                                                     r"square, size line gives 3x2"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("body,lineno", [("coordinate real general\n-2 3 0\n", 2),
+                                             ("array real general\n2 -1\n", 2),
+                                             ("coordinate real general\n%\n2 2 -1\n", 3),
+                                             ("array real general\n0 0\n", 2)],
+                             ids=["negative-m", "negative-n", "negative-nnz", "empty"])
+    def test_size_line_out_of_range(self, tmp_path, body, lineno):
+        # refused on the size line, before any matrix is allocated
+        path = tmp_path / "s.mtx"
+        path.write_text("%%MatrixMarket matrix " + body)
+        with pytest.raises(MatrixMarketError, match=rf"^line {lineno}: size line '.*' needs "
+                                                    r"m, n >= 1 and nnz >= 0$"):
+            load_matrix(path)
+
     def test_non_square_symmetric_through_cli(self, tmp_path, capsys):
         (tmp_path / "A.mtx").write_text(
             "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 5.0\n")
@@ -365,6 +378,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error [CapacityError]: amplitude estimation on ")
         assert err.rstrip().endswith("exceeds the 6-qubit capacity (at mu = 0.9)")
+
+    def test_unknown_log_level_typed_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("QREGPARAM_LOG", "verbose")
+        code = main(["--method", "classical-gcv", "--problem", "geometric-spectrum",
+                     "--m", "3", "--n", "3", "--p", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error [ValueError]: QREGPARAM_LOG='verbose' is "
+                                           "not one of DEBUG, INFO, WARNING, ERROR, CRITICAL\n")
 
     def test_wrong_stage_typed_error(self, monkeypatch, capsys):
         # an A x stage that hands the solver state on unchanged

@@ -1,4 +1,5 @@
 """Classical SVD machinery: solves, extended matrices, condition numbers, GCV."""
+import dataclasses
 import math
 
 import numpy as np
@@ -140,6 +141,18 @@ class TestBuildExtended:
         # mu = 0 leaves the middle block empty
         D0 = build_extended(A, 0.0).dilation
         assert np.allclose(D0[3:5, 5:7], 0.0)
+
+    def test_holds_its_eigendecomposition(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        for mu in (0.0, 0.6):
+            ext = build_extended(A, mu)
+            w, V = np.linalg.eigh(ext.dilation)
+            assert np.array_equal(ext.eig[0], w) and np.array_equal(ext.eig[1], V)
+        # frozen, so the decomposition cannot come apart from the dilation
+        for field, value in (("mu", 0.0), ("dilation", np.eye(8)), ("eig", (w, V))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ext, field, value)
 
 
 class TestConditionNumber:

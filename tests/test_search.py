@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qregparam import (
     CapacityError,
     ParameterGrid,
+    RegularizedProblem,
     SpectrumResolutionError,
     apply_A_state,
     build_extended,
@@ -44,7 +45,7 @@ def statevector_register_distribution(ext, n_bits):
     Hd = ext.dilation
     k = Hd.shape[0].bit_length() - 1
     t = math.pi / (2.0 * np.max(np.abs(np.linalg.eigvalsh(Hd))))
-    eig, _ = hhl._phase_cells(Hd, t, n_bits)
+    eig, _ = hhl._phase_cells(np.linalg.eigh(Hd), t, n_bits)
     amps = np.zeros((2**k, 2**n_bits, 2**k), dtype=complex)
     # QPE couples the phase register to the row register, which is the system
     # (the last k qubits); the column register leads
@@ -136,7 +137,8 @@ class TestLCurvePipeline:
         assert res.chosen_index == 0
         ext = build_extended(prob.A, 0.5)
         solution = hhl_solution_state(ext, prob.b, 6)
-        residual = residual_state(apply_A_state(solution, ext), ext, prob.b)
+        ax = apply_A_state(solution, build_extended(ext.A, 0.0))
+        residual = residual_state(ax, ext, prob.b)
         rng = np.random.default_rng(1)
         sol = estimate_solution_norm(solution, ext, prob.b, 0.05, rng, repeats=3).norm
         res_norm = estimate_residual_norm(residual, ext, prob.b, 0.05, rng, repeats=3).norm
@@ -161,6 +163,20 @@ class TestLCurvePipeline:
         # the GCV singular-value sampling step runs at mu_1 too
         with pytest.raises(SpectrumResolutionError, match=r"\(at mu = 0\.5\)$"):
             gcv_pipeline(prob, grid, 2, 2, 0.05, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_matrix_refused_before_the_grid(self, value):
+        # A's own extended matrix is decomposed before the first grid value;
+        # the SVD ahead of it refuses what eigh could not decompose (numpy's
+        # SVD returns nan singular values for inf entries without raising)
+        prob = RegularizedProblem(np.array([[1.0, value], [0.0, 1.0]]), np.array([1.0, 1.0]))
+        grid = ParameterGrid.geometric(1.0, 0.9, 3)
+        for select in (lambda: lcurve_pipeline(prob, grid, 6, 0.05, np.random.default_rng(0)),
+                       lambda: gcv_pipeline(prob, grid, 1, 6, 0.05, np.random.default_rng(0)),
+                       lambda: classical_select(prob, grid, "gcv")):
+            with pytest.raises(ValueError, match=r"^cannot factor an empty or non-finite "
+                                                 r"2x2 matrix$"):
+                select()
 
     def test_non_message_errors_pass_through(self, monkeypatch):
         try:
@@ -386,9 +402,9 @@ class TestRows:
             dh_queries.append(result.queries_used)
             return result
 
-        def recorded_sampling(ext, r, n_bits, k, rng, eigvals=None):
+        def recorded_sampling(ext, r, n_bits, k, rng):
             shots.append(k)
-            return principal_singular_values(ext, r, n_bits, k, rng, eigvals)
+            return principal_singular_values(ext, r, n_bits, k, rng)
 
         monkeypatch.setattr(search, "durr_hoyer_min", recorded_dh)
         monkeypatch.setattr(search, "principal_singular_values", recorded_sampling)
@@ -424,6 +440,27 @@ class TestRows:
                     assert est.queries == ae_query_count(est.ae_bits, repeats)
                     spent += est.queries
             assert spent == result.queries_used
+
+    @pytest.mark.parametrize("kind,m,n", [("geometric-spectrum", 4, 4), ("low-rank", 6, 4)])
+    def test_one_eigendecomposition_per_matrix(self, kind, m, n, monkeypatch):
+        # one eigh per grid value's (A; mu I) and one for A's own extended
+        # matrix; GCV decomposes its sampling matrix too, and takes t from one
+        # eigvalsh
+        prob = generate_problem(kind, m, n, 0.01, seed=0)
+        grid = ParameterGrid.geometric(1.0, 0.8, 4)
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        lcurve_pipeline(prob, grid, 10, 0.05, np.random.default_rng(0), 3)
+        assert calls == {"eigh": grid.p + 1, "eigvalsh": 0}
+        calls.update(eigh=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gcv_pipeline(prob, grid, min(m, n) // 2, 10, 0.05, np.random.default_rng(0), 3)
+        assert calls == {"eigh": grid.p + 2, "eigvalsh": 1}
 
     @pytest.mark.parametrize("criterion", ["lcurve-sum", "gcv"])
     def test_classical_rows_are_exact_norms(self, criterion):
