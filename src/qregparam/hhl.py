@@ -107,14 +107,15 @@ def _layout(state: StateVector, ext: ExtendedMatrix, flags: int, stage: str
 
 def _phase_cells(eig: tuple[np.ndarray, np.ndarray], t: float, n_bits: int
                  ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The snapped evolution e^{-i t H} as (V, phases), and each cell's eigenvalue.
+    """The snapped evolution e^{-i t H} as (V, cells), and each cell's eigenvalue.
 
     eig = eigh(H) = (w, V).  A distinct nonzero eigenvalue lambda owns the phase cell
     y = round(2^n_bits ((-lambda t / 2 pi) mod 1)); an eigenvalue within the
     zero tolerance of its sorted predecessor shares that cell, and a zero
-    eigenvalue gets phase 0.  The evolution is V diag(e^{2 pi i phases}) V^dag
-    with phases = y / 2^n_bits.  The second result, of length 2^n_bits, holds
-    each cell's eigenvalue (0 in cell 0 and in empty cells).
+    eigenvalue gets cell 0.  The evolution is V diag(omega^cells) V^dag with
+    omega = e^{2 pi i / 2^n_bits} and cells an int array, one entry per
+    eigenvalue.  The second result, of length 2^n_bits, holds each cell's
+    eigenvalue (0 in cell 0 and in empty cells).
 
     Raises SpectrumResolutionError if two distinct eigenvalues share a cell or
     a nonzero eigenvalue rounds to cell 0.
@@ -128,19 +129,19 @@ def _phase_cells(eig: tuple[np.ndarray, np.ndarray], t: float, n_bits: int
     lam = w[nonzero]
     first = np.diff(lam, prepend=-np.inf) > tol
     distinct = lam[first]
-    cells = np.rint((-distinct * t / (2 * math.pi)) % 1.0 * N).astype(int) % N
-    per_cell = np.bincount(cells, minlength=N)
+    owned = np.rint((-distinct * t / (2 * math.pi)) % 1.0 * N).astype(int) % N
+    per_cell = np.bincount(owned, minlength=N)
     if per_cell[0] or per_cell.max() > 1:
         gaps = np.abs(np.concatenate([distinct, np.diff(distinct)]))
         raise SpectrumResolutionError(
             f"{n_bits} phase bits cannot separate the spectrum "
             f"(minimal eigenvalue gap {float(gaps.min()):.3e})"
         )
-    phases = np.zeros_like(w)
-    phases[nonzero] = cells[np.cumsum(first) - 1] / N
+    cells = np.zeros(w.shape, dtype=int)
+    cells[nonzero] = owned[np.cumsum(first) - 1]
     lam_by_cell = np.zeros(N)
-    lam_by_cell[cells] = distinct
-    return (V, phases), lam_by_cell
+    lam_by_cell[owned] = distinct
+    return (V, cells), lam_by_cell
 
 
 def _add_flag(state: StateVector, amps_by_cell: np.ndarray) -> StateVector:

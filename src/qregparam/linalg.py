@@ -32,6 +32,8 @@ class RegularizedProblem:
             raise ValueError(f"matrix must be nonempty, got shape {self.A.shape}")
         if self.b.shape[0] != m:
             raise ValueError(f"b has {self.b.shape[0]} entries, expected {m}")
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("b has a non-finite entry")
         if self.x_true is not None:
             self.x_true = np.asarray(self.x_true, dtype=complex).ravel()
             if self.x_true.shape[0] != n:

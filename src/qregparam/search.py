@@ -192,8 +192,8 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     The circuit prepares |A~> proportional to the entries of the padded
     dilation H, runs phase estimation with e^{-i t H} on the row register,
     samples the phase register, merges outcomes with equal magnitude, and
-    converts sigma~ -> sqrt(sigma~^2 - mu^2).  The cells come from ext.eig, and
-    t = pi / (2 lambda_max) from an eigvalsh of ext.dilation.
+    converts sigma~ -> sqrt(sigma~^2 - mu^2).  The integer cells come from ext.eig
+    via _phase_cells, and t = pi / (2 lambda_max) from an eigvalsh of ext.dilation.
 
     The register distribution is evaluated in closed form, without the
     2^(n_bits + 2k)-amplitude state.  With H = sum_l lambda_l v_l v_l^dag,
@@ -202,7 +202,7 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     estimation is exact: it maps |v_l>|conj(v_l)> to
     |cell of lambda_l>|v_l>|conj(v_l)>.  So the register reads cell y with
     probability sum over the lambda_l in y of lambda_l^2 / ||H||_F^2, which
-    is (eigenvalues in y) * lambda_y^2, normalized, since a cell's
+    is bincount(cells)[y] * lambda_y^2, normalized, since a cell's
     eigenvalues agree within the zero tolerance of _phase_cells.  Zero
     eigenvalues sit in cell 0 with weight 0.  The register must still fit
     the simulator: CapacityError when n_bits + 2k exceeds MAX_QUBITS or,
@@ -227,12 +227,12 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
             stacklevel=2,
         )
     t = math.pi / (2.0 * float(np.max(np.abs(w))))
-    (_, phases), lam_by_cell = _phase_cells(ext.eig, t, n_bits)
+    (_, eig_cells), lam_by_cell = _phase_cells(ext.eig, t, n_bits)
     _check_capacity(n_bits + 2 * k)
     if shots > 2**MAX_QUBITS:
         raise CapacityError(f"{shots} shots exceed the {2**MAX_QUBITS}-draw capacity")
     N = 2**n_bits
-    probs = np.bincount(np.rint(phases * N).astype(int), minlength=N) * lam_by_cell**2
+    probs = np.bincount(eig_cells, minlength=N) * lam_by_cell**2
     probs = probs / probs.sum()
     outcomes = rng.choice(N, size=shots, p=probs)
     # in place, each outcome y becomes |y read in two's complement|: N - y above N/2

@@ -1,7 +1,9 @@
 """Dense statevector simulator: states, gates and phase estimation.
 
 The pipelines run phase estimation through qpe_forward/qpe_inverse, which
-evaluate the controlled-power ladder in the eigenbasis of the evolution.
+evaluate the controlled-power ladder in the eigenbasis of the evolution
+op = V diag(omega^cells) V^dag, omega = e^{2 pi i / 2^n}, with integer phase
+cells on the register's 2^n grid.
 phase_estimation and _ladder_forward simulate the same circuit gate by gate
 with apply and controlled; the tests use them, together with the dense QFT
 matrix, Hamiltonian evolution and measurement in tests/reference.py, as the
@@ -55,8 +57,8 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got {amps.size}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state is not normalized (norm {norm:.3e})")
 
 
@@ -168,19 +170,21 @@ def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
                inverse: bool) -> StateVector:
     """The controlled-power ladder of QPE evaluated in the eigenbasis of op.
 
-    With op = V diag(e^{2 pi i phases}) V^dag, the ladder applies op^y to the
-    system when the phase register holds y, so in the eigenbasis it is one
-    elementwise factor e^{2 pi i y phases_j}.  The amplitudes are a
+    With op = V diag(omega^cells) V^dag, omega = e^{2 pi i / 2^n}, the ladder
+    applies op^y to the system when the phase register holds y, so in the
+    eigenbasis it is one elementwise factor omega^(y cells_j mod 2^n), read
+    from a table of the 2^n roots of unity.  The amplitudes are a
     (2^flags, 2^n, 2^k) array, so each change of basis is one matrix product
     over the last axis.
     """
-    V, phases = eig
+    V, cells = eig
     psi = state.amplitudes
     _, N, K = shape = psi.shape
     psi = _fourier(psi, False) if inverse else _walsh_hadamard(psi, np.empty_like(psi))
-    # y * phase reduced mod 1 before scaling by 2 pi keeps dyadic phases exact
-    turns = np.outer(np.arange(N), phases) % 1.0
-    factor = np.exp((-2j if inverse else 2j) * math.pi * turns)
+    # (y c mod N) / N equals the float (y c / N) mod 1 exactly, so each factor has
+    # the bits of the exp of y * phase reduced mod 1 before scaling by 2 pi
+    roots = np.exp((-2j if inverse else 2j) * math.pi * (np.arange(N) / N))
+    factor = roots[np.outer(np.arange(N), cells) % N]
     psi = (psi.reshape(-1, K) @ V.conj()).reshape(shape)   # V^dag on the system
     psi *= factor
     psi = (psi.reshape(-1, K) @ V.T).reshape(shape)        # V on the system
@@ -191,10 +195,12 @@ def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
 def qpe_forward(state: StateVector, eig: tuple[np.ndarray, np.ndarray]) -> StateVector:
     """Hadamards, the controlled-op^{2^j} ladder, then the inverse QFT.
 
-    eig = (V, phases) describes op = V diag(e^{2 pi i phases}) V^dag on the
-    system, the last axis of the state's (2^flags, 2^n, 2^k) amplitudes; the
-    phase register is the middle axis.  The ladder is evaluated in that
-    eigenbasis (_ladder_forward is the same circuit gate by gate).
+    eig = (V, cells) describes op = V diag(omega^cells) V^dag, omega =
+    e^{2 pi i / 2^n}, on the system, the last axis of the state's
+    (2^flags, 2^n, 2^k) amplitudes; the phase register is the middle axis
+    and cells is an integer array (any sign, read mod 2^n).  The ladder is
+    evaluated in that eigenbasis (_ladder_forward is the same circuit gate
+    by gate).
     """
     return _eigen_qpe(state, eig, inverse=False)
 

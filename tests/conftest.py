@@ -31,13 +31,13 @@ def random_problem(rng, m, n, rank_deficient=False):
 
 def gate_level_qpe(state, eig, inverse=False):
     """Reference for qpe_forward/qpe_inverse: the gate-by-gate controlled-power
-    ladder on the dense op = V diag(e^{2 pi i phases}) V^dag, with the system
-    the last axis of the (2^flags, 2^n, 2^k) amplitudes and the n phase
-    qubits (the middle axis) just above it."""
-    V, phases = eig
-    op = UnitaryOp((V * np.exp(2j * np.pi * phases)) @ V.conj().T)
+    ladder on the dense op = V diag(e^{2 pi i cells / 2^n}) V^dag, with the
+    system the last axis of the (2^flags, 2^n, 2^k) amplitudes and the n
+    phase qubits (the middle axis) just above it."""
     q = state.num_qubits
     n_bits, k = (d.bit_length() - 1 for d in state.amplitudes.shape[1:])
+    V, cells = eig
+    op = UnitaryOp((V * np.exp(2j * np.pi * (cells / 2**n_bits))) @ V.conj().T)
     phase, system = list(range(q - k - n_bits, q - k)), list(range(q - k, q))
     ladder = _ladder_inverse if inverse else _ladder_forward
     return ladder(state, op, phase, system)

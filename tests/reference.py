@@ -4,12 +4,15 @@ The library evaluates phase estimation in the eigenbasis and the amplitude
 estimation readout as a closed-form Fejer kernel.  The code here simulates
 the same circuits the long way: dense QFT matrices, exact Hamiltonian
 evolution, Born-rule measurement, the inverse controlled-power ladder and
-the full Grover circuit.  top_magnitude_cells tallies phase-register shots
-one at a time.  solution_block reads the x block out of a solver state.
+the full Grover circuit.  float_phase_qpe is the eigenbasis kernel with one
+complex exp per amplitude, the bit-for-bit reference for the library's table
+of roots of unity.  top_magnitude_cells tallies phase-register shots one at
+a time.  solution_block reads the x block out of a solver state.
 Nothing under src/ imports this module.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +24,8 @@ from qregparam.statevector import (
     StateVector,
     UnitaryOp,
     _apply_qft_fast,
+    _fourier,
+    _walsh_hadamard,
     apply,
     controlled,
     phase_estimation,
@@ -69,6 +74,24 @@ def _ladder_inverse(state: StateVector, op: UnitaryOp,
     for j in phase_targets:
         state = apply(state, H, [j])
     return state
+
+
+def float_phase_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
+                    inverse: bool) -> StateVector:
+    """qpe_forward (qpe_inverse if inverse) for eig = (V, phases) with float phases:
+    the factor is e^{+-2 pi i ((y phases) mod 1)}, one complex exp per amplitude."""
+    V, phases = eig
+    psi = state.amplitudes
+    _, N, K = shape = psi.shape
+    psi = _fourier(psi, False) if inverse else _walsh_hadamard(psi, np.empty_like(psi))
+    # y * phase reduced mod 1 before scaling by 2 pi keeps dyadic phases exact
+    turns = np.outer(np.arange(N), phases) % 1.0
+    factor = np.exp((-2j if inverse else 2j) * math.pi * turns)
+    psi = (psi.reshape(-1, K) @ V.conj()).reshape(shape)   # V^dag on the system
+    psi *= factor
+    psi = (psi.reshape(-1, K) @ V.T).reshape(shape)        # V on the system
+    psi = _walsh_hadamard(psi, psi) if inverse else _fourier(psi, True)
+    return StateVector(state.num_qubits, psi)
 
 
 def measure(state: StateVector, qubits: list[int],

@@ -143,14 +143,14 @@ class TestPhaseCells:
         ext = build_extended(np.eye(3), 0.5)
         Hd = ext.dilation
         t = math.pi / (2 * math.sqrt(ext.svd.sigma_max**2 + 0.25))
-        (_, phases), lam = hhl._phase_cells(np.linalg.eigh(Hd), t, 4)
+        (_, cells), lam = hhl._phase_cells(np.linalg.eigh(Hd), t, 4)
         w = np.linalg.eigvalsh(Hd)
         top = math.sqrt(1.25)
         # +-sqrt(1 + mu^2), three times each, own one cell per sign
         assert np.count_nonzero(lam) == 2
         assert np.allclose(np.sort(lam[lam != 0]), [-top, top], atol=1e-12)
         for sign in (-1, 1):
-            cell = phases[np.abs(w - sign * top) < 1e-9]
+            cell = cells[np.abs(w - sign * top) < 1e-9]
             assert cell.size == 3 and np.all(cell == cell[0]) and cell[0] != 0
         b = np.array([1.0, -2.0, 0.5])
         blk = solution_block(hhl_solution_state(ext, b, 4), ext)
@@ -160,11 +160,12 @@ class TestPhaseCells:
     def test_zero_eigenvalues_get_phase_zero(self):
         ext = build_extended(np.eye(3), 0.5)
         Hd = ext.dilation
-        (_, phases), lam = hhl._phase_cells(np.linalg.eigh(Hd),
-                                            math.pi / (2 * math.sqrt(1.25)), 4)
+        (_, cells), lam = hhl._phase_cells(np.linalg.eigh(Hd),
+                                           math.pi / (2 * math.sqrt(1.25)), 4)
         zero = np.abs(np.linalg.eigvalsh(Hd)) < 1e-12
         assert np.count_nonzero(zero) == Hd.shape[0] - 6
-        assert np.all(phases[zero] == 0.0) and np.all(phases[~zero] != 0.0)
+        assert cells.dtype.kind == "i"
+        assert np.all(cells[zero] == 0) and np.all(cells[~zero] != 0)
         assert lam[0] == 0.0
 
     def test_small_sigma_in_cell_zero_reports_gap(self):

@@ -178,6 +178,11 @@ class TestLCurvePipeline:
                                                  r"2x2 matrix$"):
                 select()
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_b_refused(self, value):
+        with pytest.raises(ValueError, match=r"^b has a non-finite entry$"):
+            RegularizedProblem(np.eye(2), np.array([1.0, value]))
+
     def test_non_message_errors_pass_through(self, monkeypatch):
         try:
             from numpy._core._exceptions import _ArrayMemoryError

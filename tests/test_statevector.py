@@ -26,6 +26,7 @@ from reference import (
     X,
     Z,
     basis_state,
+    float_phase_qpe,
     hamiltonian_evolution,
     measure,
     qft,
@@ -195,10 +196,35 @@ class TestEigenbasisQpe:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
-           rank_deficient=st.booleans(), real=st.booleans(), snap=st.booleans(),
+           rank_deficient=st.booleans(), real=st.booleans(),
            n_bits=st.integers(1, 8), rest=st.integers(0, 2))
-    def test_matches_gate_ladder(self, seed, m, n, rank_deficient, real, snap,
-                                 n_bits, rest):
+    def test_matches_gate_ladder(self, seed, m, n, rank_deficient, real, n_bits, rest):
+        state, eig = self.case(seed, m, n, rank_deficient, real, n_bits, rest)
+        for inverse, kernel in ((False, qpe_forward), (True, qpe_inverse)):
+            got = kernel(state, eig).amplitudes
+            ref = gate_level_qpe(state, eig, inverse).amplitudes
+            assert np.max(np.abs(got - ref)) <= 1e-11
+        back = qpe_inverse(qpe_forward(state, eig), eig)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+           rank_deficient=st.booleans(), real=st.booleans(),
+           n_bits=st.integers(1, 8), rest=st.integers(0, 2))
+    def test_bit_identical_to_float_phases(self, seed, m, n, rank_deficient, real,
+                                           n_bits, rest):
+        # the roots-of-unity table gives the same bits as one complex exp per
+        # amplitude of the phases cells / 2^n, signed zeros included
+        state, (V, cells) = self.case(seed, m, n, rank_deficient, real, n_bits, rest)
+        for inverse, kernel in ((False, qpe_forward), (True, qpe_inverse)):
+            got = kernel(state, (V, cells)).amplitudes
+            ref = float_phase_qpe(state, (V, cells / 2**n_bits), inverse).amplitudes
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @staticmethod
+    def case(seed, m, n, rank_deficient, real, n_bits, rest):
+        """A random state and the eig = (V, cells) of a dilation's evolution;
+        the cells round -lambda t / 2 pi onto the 2^n grid, negative ones included."""
         rng = np.random.default_rng(seed)
         prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
         A = prob.A.real if real else prob.A
@@ -207,21 +233,12 @@ class TestEigenbasisQpe:
         k = Hd.shape[0].bit_length() - 1
         w, V = np.linalg.eigh(Hd)
         t = math.pi / (2 * np.max(np.abs(w)))
-        phases = -w * t / (2 * math.pi)
-        if snap:
-            phases = np.round(phases * 2**n_bits) / 2**n_bits
+        cells = np.rint(-w * t / (2 * math.pi) * 2**n_bits).astype(int)
         # the rest qubits lead, then the phase register, then the system
         q = rest + n_bits + k
         amps = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
         amps = amps.reshape(2**rest, 2**n_bits, 2**k)
-        state = StateVector(q, amps / np.linalg.norm(amps))
-        eig = (V, phases)
-        for inverse, kernel in ((False, qpe_forward), (True, qpe_inverse)):
-            got = kernel(state, eig).amplitudes
-            ref = gate_level_qpe(state, eig, inverse).amplitudes
-            assert np.max(np.abs(got - ref)) <= 1e-11
-        back = qpe_inverse(qpe_forward(state, eig), eig)
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+        return StateVector(q, amps / np.linalg.norm(amps)), (V, cells)
 
 
 class TestMeasure:
@@ -256,6 +273,10 @@ class TestInfrastructure:
     def test_norm_validation(self):
         with pytest.raises(ValueError, match="normalized"):
             StateVector(1, np.array([1.0, 1.0]))
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(1, np.array([np.nan, 0.0]))
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):

@@ -4,20 +4,26 @@ Runs ``qregparam.cli.run`` over the three generators x {3x2, 4x4, 6x4} x
 {6, 8, 10} phase bits x seeds {0, 7} (p=8, rho=0.8, every other setting at
 its default), in that loop order, once per method.  Each selection
 contributes its report's bytes, or ``error <Type>: <message>\\n`` when it
-raises ValueError or RuntimeError, to one SHA-256.  Prints two lines, each a
-digest with its counts of completions and errors:
+raises ValueError or RuntimeError, to one SHA-256.  Prints three lines, each a
+digest with its counts:
 
 1. the 108 quantum selections, ``lcurve`` then ``gcv``;
 2. the 216 classical ones, ``classical-lcurve``, ``classical-gcv``,
-   ``tikhonov`` and ``tsvd``, in that order.
+   ``tikhonov`` and ``tsvd``, in that order;
+3. the bits of every theta the quantum selections hand to
+   ``hhl.estimate_theta``, as little-endian float64, in call order.
 
-The first line is the digest this tool has always printed, so it stays
-comparable with older checkouts.  Any other exception propagates and the
-exit status is non-zero.
+The first two lines are the digests this tool printed before the theta line
+was added, so they stay comparable with older checkouts.  Any other
+exception propagates and the exit status is non-zero.
 
 Two checkouts that give the same digests produced the same reports, byte for
-byte.  The digests are not pinned anywhere: a different BLAS build can change
-the last bits of a report (see tests/test_golden.py).
+byte, from the same theta bits.  A report holds sampled estimates, not theta,
+so the third line sees a change in the simulated states that the first may
+miss.  The BLAS, OpenMP and MKL thread counts are pinned to 1 before numpy
+loads: with two OpenBLAS threads the last bits of theta change while both
+report digests stay equal.  The digests are not pinned anywhere: a different
+BLAS build can change the last bits of a report (see tests/test_golden.py).
 
     PYTHONPATH=src python tools/sweep_digest.py
 """
@@ -25,10 +31,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import struct
 import sys
+from unittest import mock
 
-from qregparam.cli import RunConfig, run
-from qregparam.problems import KINDS
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+from qregparam import hhl  # noqa: E402  (numpy must load after the pins)
+from qregparam.cli import RunConfig, run  # noqa: E402
+from qregparam.problems import KINDS  # noqa: E402
 
 QUANTUM = ("lcurve", "gcv")
 CLASSICAL = ("classical-lcurve", "classical-gcv", "tikhonov", "tsvd")
@@ -56,8 +68,20 @@ def sweep(methods) -> str:
 
 
 def main() -> int:
-    print(sweep(QUANTUM))
+    thetas = hashlib.sha256()
+    count = 0
+    estimate_theta = hhl.estimate_theta
+
+    def recording(theta, *args, **kwargs):
+        nonlocal count
+        thetas.update(struct.pack("<d", theta))
+        count += 1
+        return estimate_theta(theta, *args, **kwargs)
+
+    with mock.patch.object(hhl, "estimate_theta", recording):
+        print(sweep(QUANTUM))
     print(sweep(CLASSICAL))
+    print(f"{thetas.hexdigest()}  {count} theta")
     return 0
 
 
