@@ -6,8 +6,10 @@ the same circuits the long way: dense QFT matrices, exact Hamiltonian
 evolution, Born-rule measurement, the inverse controlled-power ladder and
 the full Grover circuit.  float_phase_qpe is the eigenbasis kernel with one
 complex exp per amplitude, the bit-for-bit reference for the library's table
-of roots of unity.  top_magnitude_cells tallies phase-register shots one at
-a time.  solution_block reads the x block out of a solver state.
+of roots of unity.  estimate_theta_table samples the amplitude-estimation
+readout from its full 2^n table, the draw-for-draw reference for the
+library's windowed inverse CDF.  top_magnitude_cells tallies phase-register
+shots one at a time.  solution_block reads the x block out of a solver state.
 Nothing under src/ imports this module.
 """
 from __future__ import annotations
@@ -17,9 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from qregparam.amplitude import fold_register
+from qregparam.amplitude import fold_register, qpe_on_grover_distribution
 from qregparam.linalg import ExtendedMatrix
 from qregparam.statevector import (
+    MAX_QUBITS,
+    CapacityError,
     H,
     StateVector,
     UnitaryOp,
@@ -140,6 +144,24 @@ def estimate_theta_full_circuit(amplitudes: np.ndarray, flag_qubits: Sequence[in
                            n_bits)
     bits, _ = measure(out, list(range(n_bits)), rng)
     return fold_register(int("".join(map(str, bits)), 2), n_bits)
+
+
+def estimate_theta_table(theta: float, n_bits: int, rng: np.random.Generator,
+                         repeats: int = 1) -> float:
+    """estimate_theta drawn from the whole 2^n-entry readout table by rng.choice.
+
+    O(2^n) time and memory: 24 bits take about 0.4 GB.
+    """
+    if n_bits < 1:
+        raise ValueError("n_bits must be >= 1")
+    if n_bits > MAX_QUBITS:
+        raise CapacityError(f"amplitude estimation on {n_bits} bits exceeds the "
+                            f"{MAX_QUBITS}-qubit capacity")
+    if repeats < 1 or repeats % 2 == 0:
+        raise ValueError("repeats must be odd and >= 1")
+    probs = qpe_on_grover_distribution(theta, n_bits)
+    outcomes = rng.choice(2**n_bits, size=repeats, p=probs / probs.sum())
+    return sorted(fold_register(int(y), n_bits) for y in outcomes)[repeats // 2]
 
 
 def top_magnitude_cells(outcomes: Sequence[int], n_bits: int, r: int) -> list[int]:

@@ -3,19 +3,26 @@
 Runs ``qregparam.cli.run`` over the three generators x {3x2, 4x4, 6x4} x
 {6, 8, 10} phase bits x seeds {0, 7} (p=8, rho=0.8, every other setting at
 its default), in that loop order, once per method.  Each selection
-contributes its report's bytes, or ``error <Type>: <message>\\n`` when it
-raises ValueError or RuntimeError, to one SHA-256.  Prints three lines, each a
+contributes its report's bytes, or ``error <Type>: <message>\n`` when it
+raises ValueError or RuntimeError, to one SHA-256.  Prints four lines, each a
 digest with its counts:
 
 1. the 108 quantum selections, ``lcurve`` then ``gcv``;
 2. the 216 classical ones, ``classical-lcurve``, ``classical-gcv``,
    ``tikhonov`` and ``tsvd``, in that order;
 3. the bits of every theta the quantum selections hand to
-   ``hhl.estimate_theta``, as little-endian float64, in call order.
+   ``hhl.estimate_theta``, as little-endian float64, in call order;
+4. 12 tight-epsilon ``lcurve`` selections: epsilon=5e-4 and 8 phase bits
+   over the three generators x {3x2, 4x4} x seeds {0, 7}.  Their norms are
+   read at 15-19 amplitude-estimation bits, the widths of the benchmark's
+   lcurve-ae workload, where the readout's 2^n register values lie almost
+   all in the gaps between its tabulated windows; the selections of line 1
+   read at 9-12 bits.
 
 The first two lines are the digests this tool printed before the theta line
-was added, so they stay comparable with older checkouts.  Any other
-exception propagates and the exit status is non-zero.
+was added, and the first three those it printed before the fourth, so they
+stay comparable with older checkouts.  Any other exception propagates and the
+exit status is non-zero.
 
 Two checkouts that give the same digests produced the same reports, byte for
 byte, from the same theta bits.  A report holds sampled estimates, not theta,
@@ -49,14 +56,19 @@ PHASE_BITS = (6, 8, 10)
 SEEDS = (0, 7)
 
 
-def sweep(methods) -> str:
-    """The digest line of every selection of the sweep over methods."""
+def configs(methods, sizes=SIZES, phase_bits=PHASE_BITS, **settings):
+    """The sweep's RunConfigs over methods, in loop order."""
+    for method, kind, (m, n), bits, seed in itertools.product(
+            methods, KINDS, sizes, phase_bits, SEEDS):
+        yield RunConfig(method=method, problem=kind, m=m, n=n, n_phase_bits=bits,
+                        seed=seed, p=8, rho=0.8, **settings)
+
+
+def sweep(selections) -> str:
+    """The digest line of every selection of the sweep."""
     digest = hashlib.sha256()
     done = errors = 0
-    for method, kind, (m, n), bits, seed in itertools.product(
-            methods, KINDS, SIZES, PHASE_BITS, SEEDS):
-        config = RunConfig(method=method, problem=kind, m=m, n=n, n_phase_bits=bits,
-                           seed=seed, p=8, rho=0.8)
+    for config in selections:
         try:
             text = "\n".join(run(config).to_lines()) + "\n"
             done += 1
@@ -79,9 +91,10 @@ def main() -> int:
         return estimate_theta(theta, *args, **kwargs)
 
     with mock.patch.object(hhl, "estimate_theta", recording):
-        print(sweep(QUANTUM))
-    print(sweep(CLASSICAL))
+        print(sweep(configs(QUANTUM)))
+    print(sweep(configs(CLASSICAL)))
     print(f"{thetas.hexdigest()}  {count} theta")
+    print(sweep(configs(("lcurve",), sizes=SIZES[:2], phase_bits=(8,), epsilon=5e-4)))
     return 0
 
 
