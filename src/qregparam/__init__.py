@@ -2,6 +2,7 @@
 
 from .linalg import (
     ExtendedMatrix,
+    MuRangeError,
     RegularizedProblem,
     SvdFactorization,
     TikhonovSolution,

@@ -24,6 +24,7 @@ from .linalg import RegularizedProblem, compute_svd, tikhonov_solve, tsvd_solve
 from .mmio import load_matrix, load_vector
 from .problems import KINDS, generate_problem
 from .search import ParameterGrid, classical_select, gcv_pipeline, lcurve_pipeline
+from .statevector import MAX_QUBITS, CapacityError
 
 log = logging.getLogger("qregparam")
 
@@ -64,6 +65,9 @@ class RunConfig:
             raise ValueError(f"--noise must be finite and >= 0, got {self.noise}")
         if self.n_phase_bits < 1:
             raise ValueError(f"--phase-bits must be >= 1, got {self.n_phase_bits}")
+        if self.n_phase_bits > MAX_QUBITS:
+            raise CapacityError(f"--phase-bits {self.n_phase_bits} exceeds the "
+                                f"{MAX_QUBITS}-qubit capacity")
         if self.repeats < 1 or self.repeats % 2 == 0:
             raise ValueError(f"--repeats must be odd and >= 1, got {self.repeats}")
         if self.method == "gcv" and self.rank < 1:

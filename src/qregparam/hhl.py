@@ -22,6 +22,14 @@ previous stage's state, and each estimator reads its state into an Estimate.
 The A x stage runs on A's own extended matrix (mu = 0); phase estimation reads
 the eigendecomposition each ExtendedMatrix holds.  C~ (rotation_constant) and
 the evolution time come from the classical SVD.
+
+Snapped phase estimation is exact, so the solver hands on a state that lives
+on phase value 0, and the A x stage's circuit (phase estimation, a rotation
+by lambda / sigma_max, uncompute) is the spectral map V diag(a) V^dag on one
+flag branch and V diag(sqrt(1 - a^2)) V^dag on the other.  apply_A_state
+applies those maps to the phase-0 slice directly; its phase cells still
+decide a and still raise SpectrumResolutionError.  tests/reference.py keeps
+the circuit form as apply_A_state_qpe.
 """
 from __future__ import annotations
 
@@ -45,6 +53,7 @@ from .statevector import (
 )
 
 _ZERO_EIG_TOL = 1e-12
+_OFF_PHASE_TOL = 1e-10  # the norm apply_A_state allows off phase value 0
 ZERO_MATRIX = ("A is the zero matrix: sigma_max = 0 leaves nothing to scale the A x "
                "and residual states by")
 
@@ -171,14 +180,14 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) ->
     """
     c_tilde = rotation_constant(ext)
     t = math.pi / (2.0 * math.sqrt(ext.svd.sigma_max**2 + ext.mu**2))
+    n, k = n_phase_bits, ext.dilation.shape[0].bit_length() - 1
+    _check_capacity(n + k + 1)  # before _phase_cells allocates its 2^n arrays
     eig, lam = _phase_cells(ext.eig, t, n_phase_bits)
     lam_min = float(np.min(np.abs(lam[lam != 0]), initial=np.inf))
     if c_tilde > lam_min * (1 + 1e-9):
         raise ValueError(
             f"c_tilde {c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
         )
-    n, k = n_phase_bits, ext.dilation.shape[0].bit_length() - 1
-    _check_capacity(n + k + 1)
     amps = np.zeros((1, 2**n, 2**k), dtype=complex)
     amps[0, 0] = prepare_b_state(b, k).amplitudes  # phase register |0>
     state = qpe_forward(StateVector(n + k, amps), eig)
@@ -193,16 +202,33 @@ def apply_A_state(solution: StateVector, ext_A: ExtendedMatrix) -> StateVector:
     solution is hhl_solution_state(ext, b, n_phase_bits); its phase width is
     reused.  ext_A is A's own extended matrix build_extended(A, 0.0, svd).
     Register order: [hhl ancilla, multiply ancilla, phase, system].
+
+    The circuit (phase estimation with e^{-i t H_A}, t = pi / (2 sigma_max),
+    a multiply ancilla rotated by a = lambda / sigma_max, uncompute) maps a
+    state on phase value 0 to V diag(a) V^dag (ancilla |0>) and
+    V diag(sqrt(1 - a^2)) V^dag (ancilla |1>) on phase value 0, with a read
+    from each eigenvector's phase cell (0 in cell 0).  Those maps are applied
+    directly; a state with norm above 1e-10 off phase value 0 is refused by
+    ValueError.
     """
     if ext_A.mu != 0:
         raise ValueError(f"apply_A_state runs at mu = 0 (A's own matrix), got mu = {ext_A.mu:g}")
     n, k = _layout(solution, ext_A, 1, "apply_A_state")
     _check_capacity(n + k + 2)
+    psi = solution.amplitudes
+    # one vdot per flag branch: each branch's y != 0 block is contiguous
+    off = sum(np.vdot(branch[1:], branch[1:]).real for branch in psi)
+    if off > _OFF_PHASE_TOL**2:
+        raise ValueError(f"apply_A_state expects a state on phase value 0, got norm "
+                         f"{math.sqrt(off):.3e} off it")
     smax = ext_A.svd.sigma_max
-    eig2, lam2 = _phase_cells(ext_A.eig, math.pi / (2.0 * smax), n)
-    state = qpe_forward(solution, eig2)
-    state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0))
-    return qpe_inverse(state, eig2)
+    (V, cells), lam = _phase_cells(ext_A.eig, math.pi / (2.0 * smax), n)
+    a = np.clip(lam[cells] / smax, -1.0, 1.0)
+    c = psi[:, 0] @ V.conj()  # the eigenbasis coordinates of each flag branch
+    out = np.zeros((4, *psi.shape[1:]), dtype=complex)
+    out[0::2, 0] = (c * a) @ V.T
+    out[1::2, 0] = (c * np.sqrt(1.0 - a**2)) @ V.T
+    return StateVector(n + k + 2, out)
 
 
 def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:

@@ -16,6 +16,18 @@ import numpy as np
 RANK_TOLERANCE = 1e-12
 
 
+class MuRangeError(ValueError):
+    """A mu beyond float64: mu^2 overflows, or the GCV denominator's square underflows."""
+
+
+def _check_mu(mu: float, positive: bool = False) -> None:
+    """Refuse a negative mu (a nonpositive one if positive) or one whose square overflows."""
+    if mu < 0 or (positive and mu == 0):
+        raise ValueError(f"mu must be {'positive' if positive else 'nonnegative'}")
+    if not mu * mu < math.inf:  # NaN fails too
+        raise MuRangeError(f"mu = {mu:g} is out of range: mu^2 is not finite in float64")
+
+
 @dataclass
 class RegularizedProblem:
     """An ill-conditioned system A x = b, optionally with known truth."""
@@ -155,8 +167,7 @@ def tikhonov_solve(svd: SvdFactorization, b: np.ndarray, mu: float) -> TikhonovS
     mu = 0 falls back to the pseudoinverse convention: exactly-zero singular
     values contribute nothing.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     filters = _filter_factors(svd.sigma, mu)
     return _solve_with_filters(svd, b, filters, mu)
 
@@ -173,8 +184,7 @@ def tsvd_solve(svd: SvdFactorization, b: np.ndarray, k: int) -> TikhonovSolution
 
 def condition_number_mu(svd: SvdFactorization, mu: float) -> float:
     """Condition number of the stacked matrix (A; mu I) from the spectrum of A."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     smax = svd.sigma_max
     if svd.full_column_rank:
         sn = float(svd.sigma[svd.n - 1])
@@ -210,18 +220,19 @@ def build_extended(A: np.ndarray, mu: float,
     +-sqrt(sigma_i^2 + mu^2); the A x stage runs on A's own, at mu = 0.  svd is
     compute_svd(A) when the caller already has it (a pipeline factors A once).
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if svd is None:
         svd = compute_svd(A)
     return ExtendedMatrix(mu=mu, dilation=_dilation(A, mu), A=A, svd=svd)
 
 
-def _gcv_from_parts(residual_sq: float, m: int, n: int, g: float) -> float:
+def _gcv_from_parts(residual_sq: float, m: int, n: int, g: float, mu: float) -> float:
+    """residual_sq / (m - n + g)^2, where g = g(mu) is the trace term."""
     denom = (m - n) + g
-    if denom == 0.0:
-        raise ZeroDivisionError("GCV denominator m - n + g(mu) is zero")
+    if denom**2 == 0.0:
+        raise MuRangeError(f"GCV denominator m - n + g(mu) = {denom:g} at mu = {mu:g} "
+                           "is zero or its square underflows")
     if denom < 0.0:
         warnings.warn(
             f"GCV denominator m - n + g(mu) = {denom:g} is negative (m < n case); "
@@ -241,18 +252,16 @@ def _gcv_trace(svd: SvdFactorization, mu: float) -> float:
 
 def gcv_value(svd: SvdFactorization, b: np.ndarray, mu: float) -> float:
     """GCV function ||A x_mu - b||^2 / [m - n + sum mu^2/(sigma_i^2+mu^2)]^2."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu, positive=True)
     sol = tikhonov_solve(svd, b, mu)
-    return _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, _gcv_trace(svd, mu))
+    return _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, _gcv_trace(svd, mu), mu)
 
 
 def gcv_lowrank(sigma_r: np.ndarray, residual_sq: float, m: int, n: int, mu: float) -> float:
     """GCV with the trace term truncated to the r largest singular values."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu, positive=True)
     if residual_sq < 0:
         raise ValueError("residual_sq must be nonnegative")
     sigma_r = np.asarray(sigma_r, dtype=float).ravel()
     g = float(np.sum(mu**2 / (sigma_r**2 + mu**2)))
-    return _gcv_from_parts(residual_sq, m, n, g)
+    return _gcv_from_parts(residual_sq, m, n, g, mu)

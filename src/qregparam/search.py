@@ -205,8 +205,8 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     is bincount(cells)[y] * lambda_y^2, normalized, since a cell's
     eigenvalues agree within the zero tolerance of _phase_cells.  Zero
     eigenvalues sit in cell 0 with weight 0.  The register must still fit
-    the simulator: CapacityError when n_bits + 2k exceeds MAX_QUBITS or,
-    before any draw, when shots exceeds 2^MAX_QUBITS.
+    the simulator: CapacityError, before any 2^n_bits array or draw, when
+    n_bits + 2k exceeds MAX_QUBITS or shots exceeds 2^MAX_QUBITS.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -215,6 +215,9 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     if ext.svd.sigma_max == 0:
         raise ValueError(ZERO_MATRIX)
     k = ext.dilation.shape[0].bit_length() - 1
+    _check_capacity(n_bits + 2 * k)
+    if shots > 2**MAX_QUBITS:
+        raise CapacityError(f"{shots} shots exceed the {2**MAX_QUBITS}-draw capacity")
     w = np.linalg.eigvalsh(ext.dilation)  # t enters sigma~ bit for bit; eigh's last bits differ
     # the premise is about A: its sigma^2 = lambda^2 - mu^2, once per sign of lambda
     sigma_sq = np.sort(np.maximum(w**2 - ext.mu**2, 0.0))[::-1]
@@ -228,9 +231,6 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
         )
     t = math.pi / (2.0 * float(np.max(np.abs(w))))
     (_, eig_cells), lam_by_cell = _phase_cells(ext.eig, t, n_bits)
-    _check_capacity(n_bits + 2 * k)
-    if shots > 2**MAX_QUBITS:
-        raise CapacityError(f"{shots} shots exceed the {2**MAX_QUBITS}-draw capacity")
     N = 2**n_bits
     probs = np.bincount(eig_cells, minlength=N) * lam_by_cell**2
     probs = probs / probs.sum()
@@ -291,7 +291,7 @@ def classical_select(problem: RegularizedProblem, grid: ParameterGrid,
             values[j] = sol.solution_norm**2 + sol.residual_norm**2
         else:
             g = _gcv_trace(svd, mu)
-            values[j] = _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, g)
+            values[j] = _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, g, mu)
         rows.append(GridRow(mu, sol.solution_norm, sol.residual_norm, float(values[j]), ()))
     j0 = int(np.argmin(values))
     return SelectionResult(j0, float(grid.mus[j0]), values, grid.p, [j0], rows)

@@ -8,7 +8,9 @@ the full Grover circuit.  float_phase_qpe is the eigenbasis kernel with one
 complex exp per amplitude, the bit-for-bit reference for the library's table
 of roots of unity.  estimate_theta_table samples the amplitude-estimation
 readout from its full 2^n table, the draw-for-draw reference for the
-library's windowed inverse CDF.  top_magnitude_cells tallies phase-register
+library's windowed inverse CDF.  apply_A_state_qpe is the A x stage as the
+circuit it simulates (phase estimation, rotation, uncompute), the reference
+for the library's spectral map.  top_magnitude_cells tallies phase-register
 shots one at a time.  solution_block reads the x block out of a solver state.
 Nothing under src/ imports this module.
 """
@@ -19,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from qregparam import hhl
 from qregparam.amplitude import fold_register, qpe_on_grover_distribution
+from qregparam.hhl import _add_flag, _layout, _phase_cells
 from qregparam.linalg import ExtendedMatrix
 from qregparam.statevector import (
     MAX_QUBITS,
@@ -28,6 +32,7 @@ from qregparam.statevector import (
     StateVector,
     UnitaryOp,
     _apply_qft_fast,
+    _check_capacity,
     _fourier,
     _walsh_hadamard,
     apply,
@@ -187,3 +192,21 @@ def solution_block(state: StateVector, ext: ExtendedMatrix) -> np.ndarray:
     """The x-block of the good branch of hhl_solution_state(ext, b, n) (unnormalized)."""
     m, nn = ext.A.shape
     return state.amplitudes[0, 0, m + nn:m + 2 * nn]
+
+
+def apply_A_state_qpe(solution: StateVector, ext_A: ExtendedMatrix) -> StateVector:
+    """apply_A_state as the circuit: phase estimation with e^{-i t H_A}, the
+    multiply ancilla rotated by lambda / sigma_max, and the inverse phase estimation.
+
+    It looks qpe_forward and qpe_inverse up on qregparam.hhl at each call, so a
+    test that patches them there runs this stage under its own kernel too.
+    """
+    if ext_A.mu != 0:
+        raise ValueError(f"apply_A_state runs at mu = 0 (A's own matrix), got mu = {ext_A.mu:g}")
+    n, k = _layout(solution, ext_A, 1, "apply_A_state")
+    _check_capacity(n + k + 2)
+    smax = ext_A.svd.sigma_max
+    eig2, lam2 = _phase_cells(ext_A.eig, math.pi / (2.0 * smax), n)
+    state = hhl.qpe_forward(solution, eig2)
+    state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0))
+    return hhl.qpe_inverse(state, eig2)

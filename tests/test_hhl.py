@@ -1,6 +1,8 @@
 """Solver states on the extended matrix and the amplitude-estimated norms."""
 import math
 import re
+import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qregparam import (
+    CapacityError,
     SpectrumResolutionError,
     apply_A_state,
     build_extended,
@@ -16,14 +19,16 @@ from qregparam import (
     estimate_solution_norm,
     hhl_solution_state,
     prepare_b_state,
+    principal_singular_values,
     residual_state,
     rotation_constant,
     tikhonov_solve,
 )
 from qregparam import hhl
+from qregparam.statevector import StateVector
 
 from conftest import gate_level_qpe, random_problem
-from reference import solution_block
+from reference import apply_A_state_qpe, solution_block
 
 
 def flag_zero_mass(state, flags):
@@ -182,7 +187,8 @@ class TestPhaseCells:
 
 
 class TestGateLevelReference:
-    """The states built with the eigenbasis QPE equal the gate-level circuit's."""
+    """The states built with the eigenbasis QPE and the A x stage's spectral map
+    equal the gate-level circuit's, with the A x stage run as its circuit."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
@@ -193,9 +199,9 @@ class TestGateLevelReference:
         A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
         ext = build_extended(A, float(rng.uniform(0.2, 1.5)))
 
-        def states():
+        def states(ax_stage):
             sol = hhl_solution_state(ext, b, n_bits)
-            ax = apply_A_state(sol, build_extended(ext.A, 0.0))
+            ax = ax_stage(sol, build_extended(ext.A, 0.0))
             return sol, ax, residual_state(ax, ext, b)
 
         gate_level = (
@@ -205,17 +211,45 @@ class TestGateLevelReference:
                               lambda *args: gate_level_qpe(*args, inverse=True)),
         )
         try:
-            got = states()
+            got = states(apply_A_state)
         except (SpectrumResolutionError, ValueError) as exc:
             with gate_level[0], gate_level[1], pytest.raises(type(exc)):
-                states()
+                states(apply_A_state_qpe)
             return
         with gate_level[0], gate_level[1]:
-            ref = states()
+            ref = states(apply_A_state_qpe)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.amplitudes - r.amplitudes)) <= 1e-11
         # the later stages leave the solver state they were handed as built
         assert np.array_equal(hhl_solution_state(ext, b, n_bits).amplitudes, got[0].amplitudes)
+
+
+class TestCapacityBeforeAllocation:
+    """A register past the capacity is refused before the 2^n phase-cell arrays exist."""
+
+    @staticmethod
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_stages_at_25_bits(self, worked_problem):
+        ext, b, _ = worked_problem
+        ext_A = build_extended(ext.A, 0.0)
+        # a (2, 2^25, 8) view of one zero: the A x stage reads only its shape
+        # before the capacity check
+        wide = SimpleNamespace(amplitudes=np.broadcast_to(np.zeros(1, complex),
+                                                          (2, 2**25, 8)))
+        calls = (lambda: hhl_solution_state(ext, b, 25),
+                 lambda: apply_A_state(wide, ext_A),
+                 lambda: principal_singular_values(ext, 2, 25, 100,
+                                                   np.random.default_rng(0)))
+        for call in calls:
+            assert self.peak_of(call) < 2**20
 
 
 class TestAngleContract:
@@ -278,6 +312,63 @@ class TestApplyAState:
         n, k = 5, st.num_qubits - 5 - 2
         good = st.amplitudes.reshape(2, 2, 2**n, 2**k)[0, 0, 0, :]
         assert np.linalg.norm(good) < 1e-10
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+           rank_deficient=st.booleans(), real=st.booleans(), n_bits=st.integers(1, 8),
+           from_solver=st.booleans())
+    def test_spectral_map_matches_circuit(self, seed, m, n, rank_deficient, real, n_bits,
+                                          from_solver):
+        # the input is the solver's state, or any state on phase value 0
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
+        A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
+        ext_A = build_extended(A, 0.0)
+        K = ext_A.dilation.shape[0]
+        solution = None
+        if from_solver:
+            try:
+                solution = hhl_solution_state(
+                    build_extended(A, float(rng.uniform(0.2, 1.5))), b, n_bits)
+            except SpectrumResolutionError:
+                pass
+        if solution is None:
+            amps = np.zeros((2, 2**n_bits, K), dtype=complex)
+            amps[:, 0] = rng.standard_normal((2, K))
+            if not real:
+                amps[:, 0] += 1j * rng.standard_normal((2, K))
+            solution = StateVector(n_bits + K.bit_length(), amps / np.linalg.norm(amps))
+        try:
+            got = apply_A_state(solution, ext_A)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                apply_A_state_qpe(solution, ext_A)
+            return
+        ref = apply_A_state_qpe(solution, ext_A)
+        assert got.num_qubits == ref.num_qubits
+        assert got.amplitudes.shape == ref.amplitudes.shape
+        assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("off", [1e-9, 1.0])
+    def test_refuses_a_state_off_phase_zero(self, worked_problem, off):
+        # a normalized state with mass at phase value y = 1
+        ext, b, n = worked_problem
+        sol = hhl_solution_state(ext, b, n)
+        amps = sol.amplitudes * math.sqrt(1 - off**2)
+        amps[0, 1, 0] = off
+        with pytest.raises(ValueError, match=r"^apply_A_state expects a state on phase "
+                                             r"value 0, got norm .* off it$"):
+            apply_A_state(StateVector(sol.num_qubits, amps), build_extended(ext.A, 0.0))
+
+    def test_ignores_rounding_off_phase_zero(self, worked_problem):
+        # 1e-12 off phase value 0 is below the refusal, and the map never reads it
+        ext, b, n = worked_problem
+        sol = hhl_solution_state(ext, b, n)
+        amps = sol.amplitudes.copy()
+        amps[1, 7, 3] = 1e-12
+        ext_A = build_extended(ext.A, 0.0)
+        got = apply_A_state(StateVector(sol.num_qubits, amps), ext_A)
+        assert np.array_equal(got.amplitudes, apply_A_state(sol, ext_A).amplitudes)
 
     def test_refuses_an_extended_matrix_with_mu(self, worked_problem):
         # the stage runs on A's own extended matrix; (A; mu I) is the solver's

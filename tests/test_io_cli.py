@@ -15,7 +15,7 @@ from qregparam import (
     save_matrix,
     save_vector,
 )
-from qregparam import amplitude, search
+from qregparam import CapacityError, amplitude, search
 from qregparam.cli import RunConfig, build_parser, main, run
 
 
@@ -228,6 +228,9 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="--phase-bits"):
                 RunConfig(method="lcurve", problem="geometric-spectrum",
                           n_phase_bits=bits).validate()
+        with pytest.raises(CapacityError, match="^--phase-bits 25 exceeds the 24-qubit"):
+            RunConfig(method="lcurve", problem="geometric-spectrum",
+                      n_phase_bits=25).validate()
         for repeats in (4, 0, -1):
             with pytest.raises(ValueError, match="--repeats"):
                 RunConfig(method="lcurve", problem="geometric-spectrum",
@@ -378,6 +381,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error [CapacityError]: amplitude estimation on ")
         assert err.rstrip().endswith("exceeds the 6-qubit capacity (at mu = 0.9)")
+
+    def test_phase_bits_beyond_capacity_typed_error(self, capsys):
+        # refused before any 2^40-entry array is allocated
+        code = main(["--method", "lcurve", "--problem", "low-rank", "--phase-bits", "40"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error [CapacityError]: --phase-bits 40 exceeds "
+                                           "the 24-qubit capacity\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "classical-gcv", "--mu0", "1e-200"],
+         "GCV denominator m - n + g(mu) = 0 at mu = 9e-201 "),
+        (["--method", "classical-gcv", "--p", "300", "--rho", "0.5"],
+         "GCV denominator m - n + g(mu) = 1.47605e-162 at mu = 1.31777e-82 "),
+        (["--method", "tikhonov", "--mu0", "1e300"], "mu = 1e+300 is out of range"),
+        (["--method", "classical-lcurve", "--mu0", "1e300"], "mu = 9e+299 is out of range"),
+        (["--method", "classical-gcv", "--mu0", "1e300"], "mu = 9e+299 is out of range"),
+    ], ids=["gcv-mu0-1e-200", "gcv-p300-rho0.5", "tikhonov-mu0-1e300",
+            "classical-lcurve-mu0-1e300", "classical-gcv-mu0-1e300"])
+    def test_extreme_mu_typed_error(self, argv, message, capsys):
+        code = main(["--problem", "geometric-spectrum", *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [MuRangeError]: {message}")
+        assert err.count("\n") == 1  # one line, no traceback
 
     def test_unknown_log_level_typed_error(self, monkeypatch, capsys):
         monkeypatch.setenv("QREGPARAM_LOG", "verbose")

@@ -1,11 +1,13 @@
 """Classical SVD machinery: solves, extended matrices, condition numbers, GCV."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qregparam import (
+    MuRangeError,
     build_extended,
     compute_svd,
     condition_number_mu,
@@ -219,6 +221,17 @@ class TestGcv:
         with pytest.raises(ValueError):
             gcv_value(compute_svd(np.eye(2)), np.ones(2), 0.0)
 
+    @pytest.mark.parametrize("mu", [1e-200, 1e-90])
+    def test_vanishing_denominator_names_mu(self, mu):
+        # square A: g(mu) -> 0 with mu, so the denominator is 0 (mu^2 underflows)
+        # or so small that its square underflows
+        svd = compute_svd(np.diag([1.0, 0.5]))
+        with pytest.raises(MuRangeError, match=f"at mu = {mu:g} is zero or its square "
+                                               "underflows$"):
+            gcv_value(svd, np.ones(2), mu)
+        with pytest.raises(MuRangeError, match=f"at mu = {mu:g} "):
+            gcv_lowrank(svd.sigma, 0.5, 2, 2, mu)
+
     def test_wide_matrix_positive_denominator(self):
         # m < n: the zero singular values each contribute 1 to the trace term,
         # keeping the denominator positive (and the value finite) as mu -> 0
@@ -229,6 +242,27 @@ class TestGcv:
         # truncating the trace term below n - m drives the denominator negative
         with pytest.warns(RuntimeWarning, match="negative"):
             gcv_lowrank(np.array([1.0]), 0.3, 2, 4, 0.01)
+
+
+class TestMuRange:
+    """A mu whose square overflows float64 is refused by a typed error naming it."""
+
+    @pytest.mark.parametrize("mu", [1e155, 1e300, math.inf, math.nan])
+    def test_refused_where_mu_enters(self, mu):
+        svd = compute_svd(np.diag([1.0, 0.5]))
+        calls = (lambda: tikhonov_solve(svd, np.ones(2), mu),
+                 lambda: condition_number_mu(svd, mu),
+                 lambda: build_extended(np.diag([1.0, 0.5]), mu, svd),
+                 lambda: gcv_value(svd, np.ones(2), mu),
+                 lambda: gcv_lowrank(svd.sigma, 0.5, 2, 2, mu))
+        for call in calls:
+            with pytest.raises(MuRangeError, match=f"^mu = {re.escape(f'{mu:g}')} is out of range"):
+                call()
+
+    def test_largest_finite_square_accepted(self):
+        svd = compute_svd(np.diag([1.0, 0.5]))
+        sol = tikhonov_solve(svd, np.array([1.0, 1.0]), 1e154)
+        assert sol.residual_norm == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 class TestGcvLowrank:

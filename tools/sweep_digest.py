@@ -19,6 +19,10 @@ digest with its counts:
    all in the gaps between its tabulated windows; the selections of line 1
    read at 9-12 bits.
 
+``--theta-out PATH`` also writes the thetas behind line 3 to PATH, as
+little-endian float64 in call order, so that two checkouts can be compared
+theta by theta where line 3 differs; the printed lines stay the same.
+
 The first two lines are the digests this tool printed before the theta line
 was added, and the first three those it printed before the fourth, so they
 stay comparable with older checkouts.  Any other exception propagates and the
@@ -32,10 +36,11 @@ loads: with two OpenBLAS threads the last bits of theta change while both
 report digests stay equal.  The digests are not pinned anywhere: a different
 BLAS build can change the last bits of a report (see tests/test_golden.py).
 
-    PYTHONPATH=src python tools/sweep_digest.py
+    PYTHONPATH=src python tools/sweep_digest.py [--theta-out PATH]
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import os
@@ -79,21 +84,25 @@ def sweep(selections) -> str:
     return f"{digest.hexdigest()}  {done} completed, {errors} errors"
 
 
-def main() -> int:
-    thetas = hashlib.sha256()
-    count = 0
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Digests of a fixed sweep of CLI selections.")
+    ap.add_argument("--theta-out", metavar="PATH",
+                    help="also write line 3's thetas here, little-endian float64")
+    opts = ap.parse_args(argv)
+    thetas = bytearray()
     estimate_theta = hhl.estimate_theta
 
     def recording(theta, *args, **kwargs):
-        nonlocal count
-        thetas.update(struct.pack("<d", theta))
-        count += 1
+        thetas.extend(struct.pack("<d", theta))
         return estimate_theta(theta, *args, **kwargs)
 
     with mock.patch.object(hhl, "estimate_theta", recording):
         print(sweep(configs(QUANTUM)))
     print(sweep(configs(CLASSICAL)))
-    print(f"{thetas.hexdigest()}  {count} theta")
+    print(f"{hashlib.sha256(thetas).hexdigest()}  {len(thetas) // 8} theta")
+    if opts.theta_out:
+        with open(opts.theta_out, "wb") as fh:
+            fh.write(thetas)
     print(sweep(configs(("lcurve",), sizes=SIZES[:2], phase_bits=(8,), epsilon=5e-4)))
     return 0
 
