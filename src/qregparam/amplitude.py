@@ -9,7 +9,8 @@ The Grover operator rotates the plane spanned by the two branches by
 its register distribution, qpe_on_grover_distribution, is the closed-form
 Fejer kernel of theta: half its mass peaks at y = N theta / pi, half at
 N - N theta / pi.  Register values are folded through two's complement so
-both +-theta branches decode to the same cos(theta).  The circuit itself
+both +-theta branches decode to the same cos(theta); fold is that rule, for
+this readout and for the singular-value sampling in search.  The circuit itself
 (the dense Grover operator under gate-level phase estimation) is simulated
 in tests/reference.py, the reference for that closed form.
 
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, CapacityError, twos_complement
+from .statevector import MAX_QUBITS, CapacityError
 
 
 def good_branch_angle(amplitudes: np.ndarray) -> float:
@@ -42,9 +43,18 @@ def good_branch_angle(amplitudes: np.ndarray) -> float:
     return math.atan2(np.linalg.norm(amplitudes[1:]), np.linalg.norm(amplitudes[0]))
 
 
+def fold(y, n_bits: int):
+    """|y read as an n_bits two's-complement integer|, min(y, 2^n - y), for 0 <= y < 2^n.
+
+    y is an int or an integer array; the result has its type.
+    """
+    half = 1 << (n_bits - 1)
+    return half - abs(y - half)
+
+
 def fold_register(y: int, n_bits: int) -> float:
-    """Map a register outcome to theta_tilde = |y_signed| * pi / 2^n."""
-    return abs(twos_complement(y, n_bits)) * math.pi / 2**n_bits
+    """Map a register outcome to theta_tilde = fold(y) * pi / 2^n."""
+    return fold(y, n_bits) * math.pi / 2**n_bits
 
 
 def _fejer(offsets: np.ndarray, frac: float, N: int) -> np.ndarray:
@@ -229,11 +239,21 @@ def estimate_theta(theta: float, n_bits: int, rng: np.random.Generator,
     return sorted(fold_register(y, n_bits) for y in outcomes)[repeats // 2]
 
 
-def ae_bits_for_accuracy(epsilon: float) -> int:
-    """Phase bits so the grid is below epsilon, plus two bits of success margin."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return max(1, math.ceil(math.log2(math.pi / epsilon)) + 2)
+def ae_bits_for_accuracy(epsilon: float, scale: float = 1.0) -> int:
+    """Phase bits so the grid is below scale * epsilon, plus two bits of success margin.
+
+    CapacityError, stating the width, when scale * epsilon is so small that
+    pi / (scale * epsilon) is not finite; that width is then computed as
+    log2 pi - log2 scale - log2 epsilon.
+    """
+    if epsilon <= 0 or scale <= 0:
+        raise ValueError("epsilon and scale must be positive")
+    accuracy = scale * epsilon
+    if accuracy == 0.0 or math.pi / accuracy == math.inf:
+        bits = math.ceil(math.log2(math.pi) - math.log2(scale) - math.log2(epsilon)) + 2
+        raise CapacityError(f"amplitude estimation to {scale:g} * {epsilon:g} needs "
+                            f"{bits} bits, beyond the {MAX_QUBITS}-qubit capacity")
+    return max(1, math.ceil(math.log2(math.pi / accuracy)) + 2)
 
 
 def ae_query_count(n_bits: int, repeats: int = 1) -> int:

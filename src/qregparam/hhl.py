@@ -44,7 +44,7 @@ from .amplitude import (
     estimate_theta,
     good_branch_angle,
 )
-from .linalg import ExtendedMatrix
+from .linalg import ExtendedMatrix, MuRangeError
 from .statevector import (
     StateVector,
     _check_capacity,
@@ -86,7 +86,11 @@ def rotation_constant(ext: ExtendedMatrix) -> float:
         # nonzero dilation eigenvalues are +-sqrt(sigma_i^2 + mu^2), i = 1..n,
         # padding sigma_i = 0 beyond min(m, n)
         tail = 0.0 if ext.svd.n > sigma.size else float(sigma[ext.svd.n - 1])
-        return math.sqrt(tail**2 + ext.mu**2)
+        c_tilde = math.sqrt(tail**2 + ext.mu**2)
+        if c_tilde == 0.0:
+            raise MuRangeError(f"mu = {ext.mu:g} is out of range: C~ = sqrt(sigma_n^2 + mu^2) "
+                               "underflows to 0 in float64")
+        return c_tilde
     return float(sigma[sigma > 1e-12 * smax][-1])
 
 
@@ -100,7 +104,7 @@ def prepare_b_state(b: np.ndarray, width: int) -> StateVector:
         raise ValueError(f"width {width} too small for a vector of length {b.size}")
     amps = np.zeros(2**width, dtype=complex)
     amps[: b.size] = b / norm
-    return StateVector(width, amps)
+    return StateVector(amps)
 
 
 def _layout(state: StateVector, ext: ExtendedMatrix, flags: int, stage: str
@@ -167,7 +171,7 @@ def _add_flag(state: StateVector, amps_by_cell: np.ndarray) -> StateVector:
     out = np.empty((psi.shape[0], 2, *psi.shape[1:]), dtype=complex)
     np.multiply(a, psi, out=out[:, 0])
     np.multiply(b, psi, out=out[:, 1])
-    return StateVector(out.size.bit_length() - 1, out.reshape(-1, *psi.shape[1:]))
+    return StateVector(out.reshape(-1, *psi.shape[1:]))
 
 
 def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) -> StateVector:
@@ -190,7 +194,7 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) ->
         )
     amps = np.zeros((1, 2**n, 2**k), dtype=complex)
     amps[0, 0] = prepare_b_state(b, k).amplitudes  # phase register |0>
-    state = qpe_forward(StateVector(n + k, amps), eig)
+    state = qpe_forward(StateVector(amps), eig)
     amps = np.divide(c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
     state = _add_flag(state, np.clip(amps, -1.0, 1.0))
     return qpe_inverse(state, eig)
@@ -228,7 +232,7 @@ def apply_A_state(solution: StateVector, ext_A: ExtendedMatrix) -> StateVector:
     out = np.zeros((4, *psi.shape[1:]), dtype=complex)
     out[0::2, 0] = (c * a) @ V.T
     out[1::2, 0] = (c * np.sqrt(1.0 - a**2)) @ V.T
-    return StateVector(n + k + 2, out)
+    return StateVector(out)
 
 
 def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:
@@ -260,15 +264,13 @@ def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> State
     b_terms = np.outer(col1, prepare_b_state(b, k).amplitudes)
     out[0, 0, :, : 2**k] -= b_terms
     out[0, 1, :, : 2**k] += b_terms
-    return StateVector(n + k + 4, out.reshape(16, 2**n, 2**k))
+    return StateVector(out.reshape(16, 2**n, 2**k))
 
 
 def _estimate(state: StateVector, scale: float, b: np.ndarray,
               epsilon: float, rng: np.random.Generator, repeats: int) -> Estimate:
     """The norm read off the good branch, whose amplitude is scale * norm / ||b||."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    n_ae = ae_bits_for_accuracy(scale * epsilon)
+    n_ae = ae_bits_for_accuracy(epsilon, scale)
     theta = good_branch_angle(state.amplitudes)
     theta_tilde = estimate_theta(theta, n_ae, rng, repeats=repeats)
     b_norm = float(np.linalg.norm(np.asarray(b, dtype=complex)))

@@ -2,7 +2,9 @@
 
 Everything here is exact dense linear algebra.  These routines double as the
 oracle that the quantum simulation is validated against, so they are written
-for clarity and correctness rather than speed.
+for clarity and correctness rather than speed.  An ExtendedMatrix is built
+from (mu, A, svd) and derives its dilation, and that dilation's
+eigendecomposition, itself.
 """
 from __future__ import annotations
 
@@ -105,16 +107,18 @@ class TikhonovSolution:
 class ExtendedMatrix:
     """The stacked matrix (A; mu I), held as its Hermitian block-antidiagonal dilation.
 
-    The dilation is 2^k x 2^k: it acts on a k-qubit system register.
+    svd is compute_svd(A).  The dilation is derived from A and mu, 2^k x 2^k: it
+    acts on a k-qubit system register.
     """
 
     mu: float
-    dilation: np.ndarray
     A: np.ndarray = field(repr=False)
     svd: SvdFactorization = field(repr=False)
+    dilation: np.ndarray = field(init=False)
     eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)  # eigh(dilation)
 
     def __post_init__(self):
+        object.__setattr__(self, "dilation", _dilation(self.A, self.mu))
         object.__setattr__(self, "eig", np.linalg.eigh(self.dilation))
 
 
@@ -224,7 +228,7 @@ def build_extended(A: np.ndarray, mu: float,
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if svd is None:
         svd = compute_svd(A)
-    return ExtendedMatrix(mu=mu, dilation=_dilation(A, mu), A=A, svd=svd)
+    return ExtendedMatrix(mu, A, svd)
 
 
 def _gcv_from_parts(residual_sq: float, m: int, n: int, g: float, mu: float) -> float:

@@ -8,6 +8,9 @@ The pipelines share one per-mu loop: each branch (one per grid value) runs its
 chain of states (solver, A x, residual), reads the norms its criterion needs by
 amplitude estimation into a GridRow, and the minimum finder runs on the rows'
 criteria; every A x stage runs on A's own extended matrix (mu = 0), built once.
+Minimum finding returns only what it found (a Minimum); each selector then
+builds its frozen SelectionResult once, complete, and chosen_mu and the
+criterion values are read off its rows.
 Per the desk-scale concurrency model, the p branches are simulated
 independently and combined deterministically rather than as one tensor state.
 
@@ -25,6 +28,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from .amplitude import fold
 from .hhl import (
     ZERO_MATRIX,
     Estimate,
@@ -81,33 +85,40 @@ class GridRow(NamedTuple):
     estimates: tuple[Estimate, ...]
 
 
-@dataclass
-class SelectionResult:
-    """Chosen grid index, the per-parameter criterion table and rows, and query budget."""
+class Minimum(NamedTuple):
+    """What minimum finding found: the index, the queries it spent and its thresholds."""
 
     chosen_index: int
-    chosen_mu: float
-    criterion_values: np.ndarray
     queries_used: int
-    threshold_history: list[int]
-    rows: list[GridRow]
+    threshold_history: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SelectionResult:
+    """Chosen grid index, one row per grid value, and the queries spent in all."""
+
+    chosen_index: int
+    queries_used: int
+    threshold_history: tuple[int, ...]
+    rows: tuple[GridRow, ...]
+
+    # read off the rows, which hold each grid value and its criterion
+    chosen_mu = property(lambda self: self.rows[self.chosen_index].mu)
+    criterion_values = property(lambda self: np.array([row.criterion for row in self.rows]))
 
 
 def durr_hoyer_budget(p: int) -> float:
     return 22.5 * math.sqrt(p) + 1.4 * math.log2(p) ** 2 if p > 1 else 0.0
 
 
-def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator) -> SelectionResult:
-    """Grover-threshold minimum finding within the 22.5 sqrt(p) + 1.4 log^2 p budget.
-
-    The values carry no grid: chosen_mu is nan, for the caller to set.
-    """
+def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator) -> Minimum:
+    """Grover-threshold minimum finding within the 22.5 sqrt(p) + 1.4 log^2 p budget."""
     values = np.asarray(values, dtype=float).ravel()
     p = values.size
     if p < 1:
         raise ValueError("need at least one value")
     if p == 1:
-        return SelectionResult(0, math.nan, values, 0, [0], [])
+        return Minimum(0, 0, (0,))
     budget = durr_hoyer_budget(p)
     y = int(rng.integers(p))
     history = [y]
@@ -137,7 +148,7 @@ def durr_hoyer_min(values: np.ndarray, rng: np.random.Generator) -> SelectionRes
             m = 1.0
         else:
             m = min(grow * m, math.sqrt(p))
-    return SelectionResult(y, math.nan, values, queries, history, [])
+    return Minimum(y, queries, tuple(history))
 
 
 def _at_mu(ext_A: ExtendedMatrix, mu: float, step: Callable[[ExtendedMatrix], Any]) -> Any:
@@ -155,18 +166,19 @@ def _at_mu(ext_A: ExtendedMatrix, mu: float, step: Callable[[ExtendedMatrix], An
 
 
 def _search(ext_A: ExtendedMatrix, grid: ParameterGrid,
-            row: Callable[[ExtendedMatrix], GridRow], rng: np.random.Generator
-            ) -> SelectionResult:
-    """row(ext) at every grid value, then minimum finding on the rows' criteria."""
+            row: Callable[[ExtendedMatrix], GridRow], rng: np.random.Generator,
+            queries: int = 0) -> SelectionResult:
+    """row(ext) at every grid value, then minimum finding on the rows' criteria.
+
+    queries, spent before the rows, joins theirs and minimum finding's in the total.
+    """
     rows, criterion = [], np.empty(grid.p)
     for j, mu in enumerate(grid.mus):
         rows.append(_at_mu(ext_A, float(mu), row))
         criterion[j] = rows[j].criterion
-    result = durr_hoyer_min(criterion, rng)
-    result.chosen_mu = float(grid.mus[result.chosen_index])
-    result.queries_used += sum(e.queries for r in rows for e in r.estimates)
-    result.rows = rows
-    return result
+    found = durr_hoyer_min(criterion, rng)
+    queries += found.queries_used + sum(e.queries for r in rows for e in r.estimates)
+    return SelectionResult(found.chosen_index, queries, found.threshold_history, tuple(rows))
 
 
 def lcurve_pipeline(problem: RegularizedProblem, grid: ParameterGrid, n_phase_bits: int,
@@ -232,11 +244,13 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     t = math.pi / (2.0 * float(np.max(np.abs(w))))
     (_, eig_cells), lam_by_cell = _phase_cells(ext.eig, t, n_bits)
     N = 2**n_bits
-    probs = np.bincount(eig_cells, minlength=N) * lam_by_cell**2
+    # lambda / 2^e, with 2^e near lambda_max, squares without overflow; a power
+    # of two scales every weight and their sum exactly, so probs keep their bits
+    scaled = np.ldexp(lam_by_cell, -math.frexp(float(np.max(np.abs(w))))[1])
+    probs = np.bincount(eig_cells, minlength=N) * scaled**2
     probs = probs / probs.sum()
     outcomes = rng.choice(N, size=shots, p=probs)
-    # in place, each outcome y becomes |y read in two's complement|: N - y above N/2
-    np.subtract(N, outcomes, out=outcomes, where=outcomes > N // 2)
+    outcomes = fold(outcomes, n_bits)
     counts = np.bincount(outcomes, minlength=N // 2 + 1)
     cells = np.flatnonzero(counts[1:]) + 1
     if cells.size < r:
@@ -273,9 +287,7 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
 
     ext_A = build_extended(problem.A, 0.0)
     shots, sigma_est = _at_mu(ext_A, float(grid.mus[0]), sample)
-    result = _search(ext_A, grid, row, rng)
-    result.queries_used += shots
-    return result
+    return _search(ext_A, grid, row, rng, shots)
 
 
 def classical_select(problem: RegularizedProblem, grid: ParameterGrid,
@@ -294,4 +306,4 @@ def classical_select(problem: RegularizedProblem, grid: ParameterGrid,
             values[j] = _gcv_from_parts(sol.residual_norm**2, svd.m, svd.n, g, mu)
         rows.append(GridRow(mu, sol.solution_norm, sol.residual_norm, float(values[j]), ()))
     j0 = int(np.argmin(values))
-    return SelectionResult(j0, float(grid.mus[j0]), values, grid.p, [j0], rows)
+    return SelectionResult(j0, grid.p, (j0,), tuple(rows))

@@ -17,6 +17,8 @@ Every state the pipelines build is laid out [flag qubits in creation order,
 phase register, system] and held in that shape, a (2^flags, 2^n, 2^k) array:
 the QPE kernels read n and k off it and work along its middle axis, a fresh
 flag doubles the leading axis, and the all-flags-zero branch is row 0.
+A StateVector is built from its amplitudes alone: their count is a power of
+two, and num_qubits is its log2.
 """
 from __future__ import annotations
 
@@ -42,24 +44,26 @@ def _check_capacity(num_qubits: int) -> None:
 
 @dataclass(frozen=True)
 class StateVector:
-    """2^num_qubits complex amplitudes (immutable), held in the shape the caller gives."""
+    """Complex amplitudes (immutable), held in the shape the caller gives.
 
-    num_qubits: int
+    Their count is a power of two >= 2, and its log2 is the qubit count.
+    """
+
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        if self.num_qubits < 1:
-            raise ValueError("need at least one qubit")
+        if amps.size < 2 or amps.size & (amps.size - 1):
+            raise ValueError(f"{amps.size} amplitudes is not a power of two >= 2")
         _check_capacity(self.num_qubits)
-        if amps.size != 2**self.num_qubits:
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got {amps.size}"
-            )
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state is not normalized (norm {norm:.3e})")
+
+    @property
+    def num_qubits(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def apply(state: StateVector, op: UnitaryOp, targets: list[int]) -> StateVector:
     shape = psi.shape
     psi = op.matrix @ psi.reshape(2**t, -1)
     psi = np.moveaxis(psi.reshape(shape), range(t), targets)
-    return StateVector(q, psi.reshape(state.amplitudes.shape))
+    return StateVector(psi.reshape(state.amplitudes.shape))
 
 
 def controlled(op: UnitaryOp, power: int = 1) -> UnitaryOp:
@@ -144,7 +148,7 @@ def _apply_qft_fast(state: StateVector, targets: list[int], inverse: bool) -> St
     shape = psi.shape
     block = _fourier(psi.reshape(1, 2**n, -1), inverse)
     psi = np.moveaxis(block.reshape(shape), range(n), targets)
-    return StateVector(q, psi.reshape(state.amplitudes.shape))
+    return StateVector(psi.reshape(state.amplitudes.shape))
 
 
 def _walsh_hadamard(block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -189,7 +193,7 @@ def _eigen_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
     psi *= factor
     psi = (psi.reshape(-1, K) @ V.T).reshape(shape)        # V on the system
     psi = _walsh_hadamard(psi, psi) if inverse else _fourier(psi, True)
-    return StateVector(state.num_qubits, psi)
+    return StateVector(psi)
 
 
 def qpe_forward(state: StateVector, eig: tuple[np.ndarray, np.ndarray]) -> StateVector:
@@ -239,12 +243,5 @@ def phase_estimation(op: UnitaryOp, input_state: StateVector, n_bits: int) -> St
     _check_capacity(n_bits + k)
     amps = np.zeros(2 ** (n_bits + k), dtype=complex)
     amps[: 2**k] = input_state.amplitudes
-    state = StateVector(n_bits + k, amps)
-    return _ladder_forward(state, op, list(range(n_bits)),
+    return _ladder_forward(StateVector(amps), op, list(range(n_bits)),
                            list(range(n_bits, n_bits + k)))
-
-
-def twos_complement(y: int, n_bits: int) -> int:
-    """Read register value y as a signed two's-complement integer."""
-    half = 1 << (n_bits - 1)
-    return y - (1 << n_bits) if y >= half else y

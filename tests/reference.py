@@ -38,7 +38,6 @@ from qregparam.statevector import (
     apply,
     controlled,
     phase_estimation,
-    twos_complement,
 )
 
 # common single-qubit gates (H stays with the simulator, whose ladder uses it)
@@ -50,7 +49,7 @@ I2 = UnitaryOp(np.eye(2, dtype=complex))
 def basis_state(num_qubits: int, index: int) -> StateVector:
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector(amps)
 
 
 def qft(n: int, inverse: bool = False) -> UnitaryOp:
@@ -100,7 +99,7 @@ def float_phase_qpe(state: StateVector, eig: tuple[np.ndarray, np.ndarray],
     psi *= factor
     psi = (psi.reshape(-1, K) @ V.T).reshape(shape)        # V on the system
     psi = _walsh_hadamard(psi, psi) if inverse else _fourier(psi, True)
-    return StateVector(state.num_qubits, psi)
+    return StateVector(psi)
 
 
 def measure(state: StateVector, qubits: list[int],
@@ -122,7 +121,7 @@ def measure(state: StateVector, qubits: list[int],
     collapsed[tuple(sel)] = psi[tuple(sel)]
     collapsed = collapsed.reshape(-1)
     collapsed /= np.linalg.norm(collapsed)
-    return bits, StateVector(q, collapsed)
+    return bits, StateVector(collapsed)
 
 
 def register_distribution(state: StateVector, qubits: list[int]) -> np.ndarray:
@@ -145,8 +144,7 @@ def estimate_theta_full_circuit(amplitudes: np.ndarray, flag_qubits: Sequence[in
                                 n_bits: int, rng: np.random.Generator) -> float:
     """Same contract as estimate_theta but simulating the full Grover operator."""
     G = grover_operator(amplitudes, flag_qubits)
-    out = phase_estimation(G, StateVector(amplitudes.size.bit_length() - 1, amplitudes),
-                           n_bits)
+    out = phase_estimation(G, StateVector(amplitudes), n_bits)
     bits, _ = measure(out, list(range(n_bits)), rng)
     return fold_register(int("".join(map(str, bits)), 2), n_bits)
 
@@ -173,11 +171,12 @@ def top_magnitude_cells(outcomes: Sequence[int], n_bits: int, r: int) -> list[in
     """The r most counted nonzero |two's complement| register values, shot by shot.
 
     Ties keep the order of first appearance (sorted is stable); the reference
-    for the vectorized tally in principal_singular_values.
+    for the vectorized tally in principal_singular_values.  A value y >= 2^(n-1)
+    reads as y - 2^n, with its own scalar rule rather than the library's fold.
     """
     counts: dict[int, int] = {}
-    for y in outcomes:
-        mag = abs(twos_complement(int(y), n_bits))
+    for y in map(int, outcomes):
+        mag = abs(y - 2**n_bits if y >= 2 ** (n_bits - 1) else y)
         if mag:
             counts[mag] = counts.get(mag, 0) + 1
     if len(counts) < r:

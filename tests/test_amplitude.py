@@ -11,6 +11,7 @@ from qregparam.amplitude import (
     ae_bits_for_accuracy,
     ae_query_count,
     estimate_theta,
+    fold,
     fold_register,
     good_branch_angle,
     qpe_on_grover_distribution,
@@ -28,7 +29,7 @@ def gate_level_distribution(theta, n_bits):
     """Reference: QPE simulated gate by gate on the plane rotation by 2*theta."""
     c, s = math.cos(2 * theta), math.sin(2 * theta)
     rotation = UnitaryOp(np.array([[c, -s], [s, c]], dtype=complex))
-    inp = StateVector(1, np.array([math.cos(theta), math.sin(theta)], dtype=complex))
+    inp = StateVector(np.array([math.cos(theta), math.sin(theta)], dtype=complex))
     out = phase_estimation(rotation, inp, n_bits)
     return register_distribution(out, list(range(n_bits)))
 
@@ -106,6 +107,14 @@ class TestEstimateTheta:
             for y in range(2**n):
                 assert fold_register(y, n) == fold_register((-y) % 2**n, n)
                 assert 0 <= fold_register(y, n) <= math.pi / 2 + 1e-12
+
+    def test_fold_is_twos_complement_magnitude(self):
+        assert (fold(3, 3), fold(4, 3), fold(7, 3)) == (3, 4, 1)
+        for n in range(1, 11):
+            y = np.arange(2**n)
+            signed = np.where(y >= 2 ** (n - 1), y - 2**n, y)
+            assert [fold(int(v), n) for v in y] == list(np.abs(signed))
+            assert np.array_equal(fold(y, n), np.abs(signed))
 
     def test_repeats_must_be_odd(self):
         with pytest.raises(ValueError):
@@ -259,6 +268,20 @@ class TestAccounting:
         assert ae_bits_for_accuracy(0.05) == math.ceil(math.log2(math.pi / 0.05)) + 2
         with pytest.raises(ValueError):
             ae_bits_for_accuracy(0.0)
+
+    @pytest.mark.parametrize("epsilon, scale, bits", [
+        (1e-300, 1e-17, 1057), (5e-324, 1.0, 1078), (1e-300, 1e-300, 1997)])
+    def test_bits_beyond_float_range_typed_error(self, epsilon, scale, bits):
+        # pi / (scale * epsilon) overflows, or scale * epsilon underflows to 0
+        with pytest.raises(CapacityError, match=f" needs {bits} bits, beyond the "):
+            ae_bits_for_accuracy(epsilon, scale)
+
+    def test_scaled_bits_match_the_product(self):
+        for epsilon in (0.05, 5e-4, 1e-9):
+            for scale in (1.0, 0.3, 1e-6):
+                assert (ae_bits_for_accuracy(epsilon, scale)
+                        == ae_bits_for_accuracy(scale * epsilon)
+                        == max(1, math.ceil(math.log2(math.pi / (scale * epsilon))) + 2))
 
     def test_query_count(self):
         assert ae_query_count(5) == 31

@@ -337,7 +337,7 @@ class TestApplyAState:
             amps[:, 0] = rng.standard_normal((2, K))
             if not real:
                 amps[:, 0] += 1j * rng.standard_normal((2, K))
-            solution = StateVector(n_bits + K.bit_length(), amps / np.linalg.norm(amps))
+            solution = StateVector(amps / np.linalg.norm(amps))
         try:
             got = apply_A_state(solution, ext_A)
         except Exception as exc:
@@ -358,7 +358,7 @@ class TestApplyAState:
         amps[0, 1, 0] = off
         with pytest.raises(ValueError, match=r"^apply_A_state expects a state on phase "
                                              r"value 0, got norm .* off it$"):
-            apply_A_state(StateVector(sol.num_qubits, amps), build_extended(ext.A, 0.0))
+            apply_A_state(StateVector(amps), build_extended(ext.A, 0.0))
 
     def test_ignores_rounding_off_phase_zero(self, worked_problem):
         # 1e-12 off phase value 0 is below the refusal, and the map never reads it
@@ -367,7 +367,7 @@ class TestApplyAState:
         amps = sol.amplitudes.copy()
         amps[1, 7, 3] = 1e-12
         ext_A = build_extended(ext.A, 0.0)
-        got = apply_A_state(StateVector(sol.num_qubits, amps), ext_A)
+        got = apply_A_state(StateVector(amps), ext_A)
         assert np.array_equal(got.amplitudes, apply_A_state(sol, ext_A).amplitudes)
 
     def test_refuses_an_extended_matrix_with_mu(self, worked_problem):

@@ -1,11 +1,13 @@
 """Problem generators, Matrix Market I/O, and the command-line driver."""
 import hashlib
+import importlib.util
 import json
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qregparam import (
     MatrixMarketError,
@@ -17,6 +19,18 @@ from qregparam import (
 )
 from qregparam import CapacityError, amplitude, search
 from qregparam.cli import RunConfig, build_parser, main, run
+
+
+def load_fuzz():
+    """tools/fuzz_cli.py, whose strategy and check the fuzz test below shares."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "fuzz_cli.py"
+    spec = importlib.util.spec_from_file_location("fuzz_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fuzz_cli = load_fuzz()
 
 
 class TestGenerateProblem:
@@ -405,6 +419,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error [MuRangeError]: {message}")
         assert err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--problem", "low-rank", "--n", "2", "--mu0", "1e-300", "--epsilon", "1e-300"],
+         "error [CapacityError]: amplitude estimation to 8.85488e-17 * 1e-300 needs 1054 "
+         "bits, beyond the 24-qubit capacity (at mu = 9e-301)"),
+        (["--problem", "low-rank", "--mu0", "1e-300", "--epsilon", "1e-300"],
+         "error [CapacityError]: amplitude estimation to 4.6715e-33 * 1e-300 needs 1108 "
+         "bits, beyond the 24-qubit capacity (at mu = 9e-301)"),
+        (["--problem", "geometric-spectrum", "--m", "2", "--n", "4", "--mu0", "1e-300",
+          "--phase-bits", "8"],
+         "error [MuRangeError]: mu = 9e-301 is out of range: C~ = sqrt(sigma_n^2 + mu^2) "
+         "underflows to 0 in float64 (at mu = 9e-301)"),
+    ], ids=["ae-width-overflows", "ae-accuracy-underflows", "c-tilde-zero"])
+    def test_underflowing_ae_scale_typed_error(self, argv, message, capsys):
+        code = main(["--method", "lcurve", *argv])
+        assert code == 1
+        assert capsys.readouterr().err == message + "\n"  # one line, no traceback
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(fuzz_cli.argv_strategy())
+    def test_fuzzed_flags_run_or_fail_typed(self, argv):
+        # tools/fuzz_cli.py runs the same strategy for as many examples as asked
+        fuzz_cli.check(argv)
 
     def test_unknown_log_level_typed_error(self, monkeypatch, capsys):
         monkeypatch.setenv("QREGPARAM_LOG", "verbose")

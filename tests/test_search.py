@@ -1,4 +1,6 @@
 """Minimum finding, the two selection pipelines, and the classical oracle."""
+import copy
+import dataclasses
 import math
 import warnings
 import weakref
@@ -50,7 +52,7 @@ def statevector_register_distribution(ext, n_bits):
     # QPE couples the phase register to the row register, which is the system
     # (the last k qubits); the column register leads
     amps[:, 0, :] = (Hd / np.linalg.norm(Hd)).T
-    out = qpe_forward(StateVector(n_bits + 2 * k, amps), eig)
+    out = qpe_forward(StateVector(amps), eig)
     probs = register_distribution(out, list(range(k, k + n_bits)))
     return probs / probs.sum()
 
@@ -100,7 +102,7 @@ class TestDurrHoyer:
     def test_all_equal_tie(self):
         vals = np.array([2.0, 2.0, 2.0, 2.0])
         res = durr_hoyer_min(vals, np.random.default_rng(1))
-        assert res.criterion_values[res.chosen_index] == 2.0
+        assert vals[res.chosen_index] == 2.0
 
     def test_budget_never_exceeded(self):
         for p in (4, 16, 64):
@@ -398,13 +400,13 @@ class TestRows:
         prob = generate_problem(kind, m, n, 0.01, seed=0)
         grid = ParameterGrid.geometric(1.0, 0.8, 4)
         epsilon, repeats = 0.05, 3
-        # what minimum finding spent, read before the pipeline adds to it, and
-        # the GCV sampling shots
-        dh_queries, shots = [], []
+        # what minimum finding found, with a copy taken as it returned, and the
+        # GCV sampling shots
+        found, shots = [], []
 
         def recorded_dh(values, rng):
             result = durr_hoyer_min(values, rng)
-            dh_queries.append(result.queries_used)
+            found.append((result, copy.deepcopy(result)))
             return result
 
         def recorded_sampling(ext, r, n_bits, k, rng):
@@ -420,7 +422,10 @@ class TestRows:
                                np.random.default_rng(0), repeats)
         svd = compute_svd(prob.A)
         b_norm = np.linalg.norm(prob.b)
-        for result, spent in ((lcurve, dh_queries[0]), (gcv, dh_queries[1] + shots[0])):
+        # the pipeline leaves what minimum finding returned as it was
+        assert all(got == kept for got, kept in found)
+        spent_by = [found[0][0].queries_used, found[1][0].queries_used + shots[0]]
+        for result, spent in zip((lcurve, gcv), spent_by):
             assert [row.mu for row in result.rows] == list(grid.mus)
             assert [row.criterion for row in result.rows] == list(result.criterion_values)
             for row in result.rows:
@@ -524,6 +529,15 @@ class TestClassicalSelect:
         assert outer.call_count + inner.call_count == grid.p
         expect = [gcv_value(svd, prob.b, float(mu)) for mu in grid.mus]
         assert np.array_equal(res.criterion_values, expect)
+
+    def test_result_is_frozen(self):
+        prob = generate_problem("geometric-spectrum", 2, 2, 0.0, seed=0)
+        res = classical_select(prob, ParameterGrid.geometric(1.0, 0.5, 2), "lcurve-sum")
+        for field in dataclasses.fields(res):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, field.name, getattr(res, field.name))
+        with pytest.raises(AttributeError):
+            res.chosen_mu = 0.5
 
     def test_unknown_criterion(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.0, seed=0)

@@ -1,5 +1,7 @@
 """Statevector simulator: gates, QFT, phase estimation, evolution, measurement."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from qregparam.statevector import (
     phase_estimation,
     qpe_forward,
     qpe_inverse,
-    twos_complement,
 )
 
 from conftest import gate_level_qpe, random_problem
@@ -106,7 +107,7 @@ class TestQft:
     def test_fast_path_matches_dense(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal(2**6) + 1j * rng.standard_normal(2**6)
-        st = StateVector(6, a / np.linalg.norm(a))
+        st = StateVector(a / np.linalg.norm(a))
         for inverse in (False, True):
             dense = apply(st, qft(4, inverse=inverse), [1, 3, 4, 0])
             fast = _apply_qft_fast(st, [1, 3, 4, 0], inverse)
@@ -160,7 +161,7 @@ class TestPhaseEstimation:
         w, V = np.linalg.eig(G.matrix)
         # pick the eigenvector with eigenvalue e^{+2 pi i 13/64}
         idx = int(np.argmin(np.abs(w - np.exp(2j * math.pi * 13 / 64))))
-        vec = StateVector(1, V[:, idx])
+        vec = StateVector(V[:, idx])
         out = phase_estimation(G, vec, 6)
         dist = register_distribution(out, list(range(6)))
         assert dist[13] == pytest.approx(1.0, abs=1e-10)
@@ -238,7 +239,7 @@ class TestEigenbasisQpe:
         q = rest + n_bits + k
         amps = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
         amps = amps.reshape(2**rest, 2**n_bits, 2**k)
-        return StateVector(q, amps / np.linalg.norm(amps)), (V, cells)
+        return StateVector(amps / np.linalg.norm(amps)), (V, cells)
 
 
 class TestMeasure:
@@ -257,7 +258,7 @@ class TestMeasure:
     def test_product_state_untouched(self):
         rng = np.random.default_rng(1)
         v = np.array([0.6, 0.8j])
-        st = StateVector(2, np.kron([1.0, 0.0], v))
+        st = StateVector(np.kron([1.0, 0.0], v))
         bits, post = measure(st, [0], rng)
         assert bits == (0,)
         assert np.allclose(post.amplitudes[:2], v)
@@ -272,25 +273,40 @@ class TestMeasure:
 class TestInfrastructure:
     def test_norm_validation(self):
         with pytest.raises(ValueError, match="normalized"):
-            StateVector(1, np.array([1.0, 1.0]))
+            StateVector(np.array([1.0, 1.0]))
 
     def test_nan_state_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
-            StateVector(1, np.array([np.nan, 0.0]))
+            StateVector(np.array([np.nan, 0.0]))
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            StateVector(25, np.zeros(1))
+        # 2^25 amplitudes held as a zero-stride view: refused before any copy or norm
+        amps = np.broadcast_to(np.zeros(1, dtype=complex), (2**25,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="25 qubits"):
+                StateVector(amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
-    def test_twos_complement(self):
-        assert twos_complement(3, 3) == 3
-        assert twos_complement(4, 3) == -4
-        assert twos_complement(7, 3) == -1
+    @pytest.mark.parametrize("size", [0, 1, 3, 6, 12])
+    def test_size_not_a_power_of_two(self, size):
+        amps = np.zeros(size, dtype=complex)
+        amps[:1] = 1.0
+        with pytest.raises(ValueError, match=f"^{size} amplitudes is not a power of two"):
+            StateVector(amps)
+
+    def test_width_is_read_off_the_amplitudes(self):
+        st = StateVector(np.full((2, 4, 8), 1 / 8, dtype=complex))
+        assert st.num_qubits == 6
+        assert [f.name for f in dataclasses.fields(StateVector)] == ["amplitudes"]
 
     def test_norm_preserved_through_circuits(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        st = StateVector(3, a / np.linalg.norm(a))
+        st = StateVector(a / np.linalg.norm(a))
         st = apply(st, qft(2), [0, 2])
         st = apply(st, controlled(rotation(0.4)), [1, 0])
         assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-10)
