@@ -20,8 +20,10 @@ the state it is handed and refuses, by ValueError, a wrong flag count or k.
 The per-mu step is the chain solver -> A x -> residual: each stage takes the
 previous stage's state, and each estimator reads its state into an Estimate.
 The A x stage runs on A's own extended matrix (mu = 0); phase estimation reads
-the eigendecomposition each ExtendedMatrix holds.  C~ (rotation_constant) and
-the evolution time come from the classical SVD.
+the eigendecomposition each ExtendedMatrix holds.  C~ (rotation_constant),
+the evolution time t = pi / (2 lambda_max) (evolution_time) and the residual
+scale min(1, C~ / sigma_max) come from the classical SVD, through
+linalg.extended_spectrum's (lambda_max, lambda_min) of (A; mu I).
 
 Snapped phase estimation is exact, so the solver hands on a state that lives
 on phase value 0, and the A x stage's circuit (phase estimation, a rotation
@@ -44,7 +46,7 @@ from .amplitude import (
     estimate_theta,
     good_branch_angle,
 )
-from .linalg import ExtendedMatrix, MuRangeError
+from .linalg import ExtendedMatrix, extended_spectrum
 from .statevector import (
     StateVector,
     _check_capacity,
@@ -75,23 +77,25 @@ class Estimate(NamedTuple):
 def rotation_constant(ext: ExtendedMatrix) -> float:
     """C~, read off the classical SVD (a simulator privilege).
 
-    C~ is the smallest nonzero dilation eigenvalue magnitude, the largest
-    value that keeps every rotation amplitude C~/lambda <= 1.
+    C~ is lambda_min of (A; mu I), the smallest nonzero dilation eigenvalue
+    magnitude: the largest value that keeps every rotation amplitude
+    C~/lambda <= 1.
     """
-    sigma = ext.svd.sigma
-    smax = ext.svd.sigma_max
-    if smax == 0:
+    if ext.svd.sigma_max == 0:
         raise ValueError(ZERO_MATRIX)
-    if ext.mu > 0:
-        # nonzero dilation eigenvalues are +-sqrt(sigma_i^2 + mu^2), i = 1..n,
-        # padding sigma_i = 0 beyond min(m, n)
-        tail = 0.0 if ext.svd.n > sigma.size else float(sigma[ext.svd.n - 1])
-        c_tilde = math.sqrt(tail**2 + ext.mu**2)
-        if c_tilde == 0.0:
-            raise MuRangeError(f"mu = {ext.mu:g} is out of range: C~ = sqrt(sigma_n^2 + mu^2) "
-                               "underflows to 0 in float64")
-        return c_tilde
-    return float(sigma[sigma > 1e-12 * smax][-1])
+    return extended_spectrum(ext.svd, ext.mu)[1]
+
+
+def evolution_time(ext: ExtendedMatrix) -> float:
+    """t = pi / (2 lambda_max): every dilation eigenvalue lambda has |lambda| t <= pi/2."""
+    return math.pi / (2.0 * extended_spectrum(ext.svd, ext.mu)[0])
+
+
+def _residual_scale(ext: ExtendedMatrix) -> tuple[float, float]:
+    """(C, min(1, C)) with C = C~ / sigma_max: residual_state's balancing ratio and
+    scale, its good branch being min(1, C) / 2 times ||A x_mu - b|| / ||b||."""
+    C = rotation_constant(ext) / ext.svd.sigma_max
+    return C, min(1.0, C)
 
 
 def prepare_b_state(b: np.ndarray, width: int) -> StateVector:
@@ -180,10 +184,10 @@ def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) ->
     Register order: [ancilla, phase (n_phase_bits), system (the dilation's
     k qubits)].  The x block occupies system coordinates m+n .. m+2n-1.
     Forward phase estimation runs before the ancilla exists, with
-    t = pi / (2 sqrt(sigma_max^2 + mu^2)).
+    t = evolution_time(ext) = pi / (2 sqrt(sigma_max^2 + mu^2)).
     """
     c_tilde = rotation_constant(ext)
-    t = math.pi / (2.0 * math.sqrt(ext.svd.sigma_max**2 + ext.mu**2))
+    t = evolution_time(ext)
     n, k = n_phase_bits, ext.dilation.shape[0].bit_length() - 1
     _check_capacity(n + k + 1)  # before _phase_cells allocates its 2^n arrays
     eig, lam = _phase_cells(ext.eig, t, n_phase_bits)
@@ -225,9 +229,8 @@ def apply_A_state(solution: StateVector, ext_A: ExtendedMatrix) -> StateVector:
     if off > _OFF_PHASE_TOL**2:
         raise ValueError(f"apply_A_state expects a state on phase value 0, got norm "
                          f"{math.sqrt(off):.3e} off it")
-    smax = ext_A.svd.sigma_max
-    (V, cells), lam = _phase_cells(ext_A.eig, math.pi / (2.0 * smax), n)
-    a = np.clip(lam[cells] / smax, -1.0, 1.0)
+    (V, cells), lam = _phase_cells(ext_A.eig, evolution_time(ext_A), n)
+    a = np.clip(lam[cells] / ext_A.svd.sigma_max, -1.0, 1.0)
     c = psi[:, 0] @ V.conj()  # the eigenbasis coordinates of each flag branch
     out = np.zeros((4, *psi.shape[1:]), dtype=complex)
     out[0::2, 0] = (c * a) @ V.T
@@ -252,8 +255,7 @@ def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> State
     # the selector.  Together: selector s, rotation qubit r carry
     # (col0[r] ax - col1[r] b) for s = 0 and (col0[r] ax + col1[r] b) for s = 1.
     # ax's two ancillas (its leading qubits) stay the two leading rows.
-    C = rotation_constant(ext) / ext.svd.sigma_max
-    t = min(1.0, C)
+    C, t = _residual_scale(ext)
     a0, a1 = t / C, t
     col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
     col1 = np.array([a1, math.sqrt(1 - a1**2)]) / 2
@@ -299,5 +301,4 @@ def estimate_residual_norm(residual: StateVector, ext: ExtendedMatrix, b: np.nda
     ancillas, its first four qubits.
     """
     _layout(residual, ext, 4, "estimate_residual_norm")
-    t = min(1.0, rotation_constant(ext) / ext.svd.sigma_max)
-    return _estimate(residual, t / 2, b, epsilon, rng, repeats)
+    return _estimate(residual, _residual_scale(ext)[1] / 2, b, epsilon, rng, repeats)

@@ -88,10 +88,6 @@ class SvdFactorization:
             return 0
         return int(np.count_nonzero(self.sigma > RANK_TOLERANCE * self.sigma_max))
 
-    @property
-    def full_column_rank(self) -> bool:
-        return self.m >= self.n and self.numerical_rank == self.n
-
 
 @dataclass
 class TikhonovSolution:
@@ -186,16 +182,35 @@ def tsvd_solve(svd: SvdFactorization, b: np.ndarray, k: int) -> TikhonovSolution
     return _solve_with_filters(svd, b, filters, 0.0)
 
 
-def condition_number_mu(svd: SvdFactorization, mu: float) -> float:
-    """Condition number of the stacked matrix (A; mu I) from the spectrum of A."""
-    _check_mu(mu)
+def extended_spectrum(svd: SvdFactorization, mu: float) -> tuple[float, float]:
+    """(lambda_max, lambda_min): the largest and smallest nonzero singular value of (A; mu I).
+
+    Those are sqrt(sigma_i^2 + mu^2), i = 1..n, where a sigma_i beyond the
+    numerical rank (or beyond min(m, n)) counts as 0; at mu = 0 they are A's
+    own.  lambda_min is HHL's rotation constant C~, and lambda_max sets the
+    evolution time.  lambda_min is 0 only for the zero matrix at mu = 0; a
+    positive mu at which it underflows to 0 raises MuRangeError.  Python
+    floats only, no numpy temporaries: this runs several times per mu.
+    """
     smax = svd.sigma_max
-    if svd.full_column_rank:
-        sn = float(svd.sigma[svd.n - 1])
-        return math.sqrt((smax**2 + mu**2) / (sn**2 + mu**2))
+    kept = [s for s in svd.sigma.tolist() if s > RANK_TOLERANCE * smax]
+    tail = kept[-1] if kept and (mu == 0.0 or len(kept) == svd.n) else 0.0
     if mu == 0.0:
+        return smax, tail
+    lam_min = math.sqrt(tail**2 + mu**2)
+    if lam_min == 0.0:
+        raise MuRangeError(f"mu = {mu:g} is out of range: C~ = sqrt(sigma_n^2 + mu^2) "
+                           "underflows to 0 in float64")
+    return math.sqrt(smax**2 + mu**2), lam_min
+
+
+def condition_number_mu(svd: SvdFactorization, mu: float) -> float:
+    """Condition number lambda_max / lambda_min of the stacked matrix (A; mu I)."""
+    _check_mu(mu)
+    if mu == 0.0 and svd.numerical_rank < svd.n:
         raise ValueError("kappa_mu is infinite: mu = 0 with rank-deficient A")
-    return math.sqrt((smax**2 + mu**2) / mu**2)
+    lam_max, lam_min = extended_spectrum(svd, mu)
+    return lam_max / lam_min
 
 
 def _dilation(A: np.ndarray, mu: float) -> np.ndarray:

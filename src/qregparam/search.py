@@ -15,9 +15,11 @@ Per the desk-scale concurrency model, the p branches are simulated
 independently and combined deterministically rather than as one tensor state.
 
 Before its branches, the GCV pipeline samples the singular values of A by
-phase estimation on the vectorized dilation.  Its register distribution is a
-set of point masses read off the snapped spectrum in closed form (see
-principal_singular_values), so that stage builds no state vector.
+phase estimation on the vectorized dilation, with max(10 r, ceil(10 r kappa_mu^2))
+shots at mu_1 (kappa_mu from linalg.condition_number_mu) and the solver's
+evolution time.  Its register distribution is a set of point masses read off
+the snapped spectrum in closed form (see principal_singular_values), so that
+stage builds no state vector.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .hhl import (
     apply_A_state,
     estimate_residual_norm,
     estimate_solution_norm,
+    evolution_time,
     hhl_solution_state,
     residual_state,
 )
@@ -44,6 +47,7 @@ from .linalg import (
     RegularizedProblem,
     build_extended,
     compute_svd,
+    condition_number_mu,
     gcv_lowrank,
     _gcv_from_parts,
     _gcv_trace,
@@ -205,7 +209,7 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     dilation H, runs phase estimation with e^{-i t H} on the row register,
     samples the phase register, merges outcomes with equal magnitude, and
     converts sigma~ -> sqrt(sigma~^2 - mu^2).  The integer cells come from ext.eig
-    via _phase_cells, and t = pi / (2 lambda_max) from an eigvalsh of ext.dilation.
+    via _phase_cells at the solver's t = evolution_time(ext) = pi / (2 lambda_max).
 
     The register distribution is evaluated in closed form, without the
     2^(n_bits + 2k)-amplitude state.  With H = sum_l lambda_l v_l v_l^dag,
@@ -230,10 +234,7 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     _check_capacity(n_bits + 2 * k)
     if shots > 2**MAX_QUBITS:
         raise CapacityError(f"{shots} shots exceed the {2**MAX_QUBITS}-draw capacity")
-    w = np.linalg.eigvalsh(ext.dilation)  # t enters sigma~ bit for bit; eigh's last bits differ
-    # the premise is about A: its sigma^2 = lambda^2 - mu^2, once per sign of lambda
-    sigma_sq = np.sort(np.maximum(w**2 - ext.mu**2, 0.0))[::-1]
-    mass = np.sum(sigma_sq[: 2 * r]) / np.sum(sigma_sq)
+    mass = np.sum(ext.svd.sigma[:r]**2) / np.sum(ext.svd.sigma**2)
     if mass < 0.99:
         warnings.warn(
             f"top-{r} singular values carry only {mass:.3f} of the Frobenius mass "
@@ -241,29 +242,27 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
             RuntimeWarning,
             stacklevel=2,
         )
-    t = math.pi / (2.0 * float(np.max(np.abs(w))))
+    t = evolution_time(ext)
     (_, eig_cells), lam_by_cell = _phase_cells(ext.eig, t, n_bits)
     N = 2**n_bits
-    # lambda / 2^e, with 2^e near lambda_max, squares without overflow; a power
-    # of two scales every weight and their sum exactly, so probs keep their bits
-    scaled = np.ldexp(lam_by_cell, -math.frexp(float(np.max(np.abs(w))))[1])
+    # lambda / 2^e, with 2^e near lambda_max = pi / (2 t), squares without overflow; a
+    # power of two scales every weight and their sum exactly, so probs keep their bits
+    scaled = np.ldexp(lam_by_cell, -math.frexp(math.pi / (2.0 * t))[1])
     probs = np.bincount(eig_cells, minlength=N) * scaled**2
     probs = probs / probs.sum()
     outcomes = rng.choice(N, size=shots, p=probs)
-    outcomes = fold(outcomes, n_bits)
-    counts = np.bincount(outcomes, minlength=N // 2 + 1)
-    cells = np.flatnonzero(counts[1:]) + 1
-    if cells.size < r:
+    cells, first, counts = np.unique(fold(outcomes, n_bits), return_index=True,
+                                     return_counts=True)
+    skip = int(cells[0] == 0)  # cell 0 holds the zero eigenvalues
+    if cells.size - skip < r:
         raise RuntimeError(
-            f"only {cells.size} distinct singular-value clusters found after "
+            f"only {cells.size - skip} distinct singular-value clusters found after "
             f"{shots} shots; need {r}"
         )
     # most counted first; ties in order of first appearance
-    first = {int(c): int(np.argmax(outcomes == c)) for c in cells}
-    top_cells = sorted(first, key=lambda c: (-counts[c], first[c]))[:r]
-    sigma_tilde = np.array([2 * math.pi * c / (2**n_bits * t) for c in top_cells])
-    sigma = np.sqrt(np.maximum(sigma_tilde**2 - ext.mu**2, 0.0))
-    return np.sort(sigma)[::-1]
+    top_cells = cells[skip:][np.lexsort((first[skip:], -counts[skip:]))[:r]]
+    sigma_tilde = 2 * math.pi * top_cells / (N * t)
+    return np.sort(np.sqrt(np.maximum(sigma_tilde**2 - ext.mu**2, 0.0)))[::-1]
 
 
 def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
@@ -271,10 +270,11 @@ def gcv_pipeline(problem: RegularizedProblem, grid: ParameterGrid, r: int,
                  repeats: int = 5) -> SelectionResult:
     """Singular-value extraction, parallel residual estimation, min of G(mu_j)."""
     def sample(ext: ExtendedMatrix) -> tuple[int, np.ndarray]:
-        w = np.abs(ext.eig[0])
-        nz = np.sort(w[w > 1e-12 * w.max()])
-        ratio = (nz[-1] / nz[0]) ** 2 if nz.size else 1.0
-        k = max(10 * r, math.ceil(10 * r * ratio))
+        kappa = condition_number_mu(ext.svd, ext.mu)
+        if kappa > 2**MAX_QUBITS:  # past capacity, and kappa**2 may overflow
+            raise CapacityError(f"kappa_mu = {kappa:g} asks for over 2^{2 * MAX_QUBITS} "
+                                f"shots, past the {2**MAX_QUBITS}-draw capacity")
+        k = max(10 * r, math.ceil(10 * r * kappa**2))
         return k, principal_singular_values(ext, r, n_phase_bits, k, rng)
 
     def row(ext: ExtendedMatrix) -> GridRow:

@@ -421,17 +421,24 @@ class TestCli:
         assert err.count("\n") == 1  # one line, no traceback
 
     @pytest.mark.parametrize("argv, message", [
+        # low-rank A: sigma_n is rounding noise and counts as 0, so C~ = mu, and
+        # mu^2 underflows
         (["--problem", "low-rank", "--n", "2", "--mu0", "1e-300", "--epsilon", "1e-300"],
-         "error [CapacityError]: amplitude estimation to 8.85488e-17 * 1e-300 needs 1054 "
-         "bits, beyond the 24-qubit capacity (at mu = 9e-301)"),
+         "error [MuRangeError]: mu = 9e-301 is out of range: C~ = sqrt(sigma_n^2 + mu^2) "
+         "underflows to 0 in float64 (at mu = 9e-301)"),
         (["--problem", "low-rank", "--mu0", "1e-300", "--epsilon", "1e-300"],
-         "error [CapacityError]: amplitude estimation to 4.6715e-33 * 1e-300 needs 1108 "
-         "bits, beyond the 24-qubit capacity (at mu = 9e-301)"),
+         "error [MuRangeError]: mu = 9e-301 is out of range: C~ = sqrt(sigma_n^2 + mu^2) "
+         "underflows to 0 in float64 (at mu = 9e-301)"),
         (["--problem", "geometric-spectrum", "--m", "2", "--n", "4", "--mu0", "1e-300",
           "--phase-bits", "8"],
          "error [MuRangeError]: mu = 9e-301 is out of range: C~ = sqrt(sigma_n^2 + mu^2) "
          "underflows to 0 in float64 (at mu = 9e-301)"),
-    ], ids=["ae-width-overflows", "ae-accuracy-underflows", "c-tilde-zero"])
+        # C~ = mu = 9e-151 is representable; the accuracy C~ epsilon is not
+        (["--problem", "low-rank", "--mu0", "1e-150", "--epsilon", "1e-300"],
+         "error [CapacityError]: amplitude estimation to 9e-151 * 1e-300 needs 1499 "
+         "bits, beyond the 24-qubit capacity (at mu = 9e-151)"),
+    ], ids=["ae-width-overflows", "ae-accuracy-underflows", "c-tilde-zero",
+            "ae-accuracy-log-space"])
     def test_underflowing_ae_scale_typed_error(self, argv, message, capsys):
         code = main(["--method", "lcurve", *argv])
         assert code == 1

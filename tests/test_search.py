@@ -19,6 +19,7 @@ from qregparam import (
     build_extended,
     classical_select,
     compute_svd,
+    condition_number_mu,
     durr_hoyer_min,
     estimate_residual_norm,
     estimate_solution_norm,
@@ -330,6 +331,59 @@ class TestShotTally:
         assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
+class TestExtendedSpectrum:
+    """C~, kappa_mu and the GCV shot rule all read (lambda_max, lambda_min) of (A; mu I)."""
+
+    class Shots(Exception):
+        """Stops gcv_pipeline at its sampler, carrying the shot count asked for."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+           rank_deficient=st.booleans(), real=st.booleans(), mu=st.floats(0.05, 2.0),
+           r=st.integers(1, 3))
+    def test_constants_read_one_spectrum(self, seed, m, n, rank_deficient, real, mu, r):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((m, n)) + (0 if real else 1j * rng.standard_normal((m, n)))
+        if rank_deficient and min(m, n) > 1:
+            U, s, Vh = np.linalg.svd(A, full_matrices=False)
+            s[-1] = 0.0
+            A = (U * s) @ Vh
+        ext = build_extended(A, mu)
+        lam_max, lam_min = linalg.extended_spectrum(ext.svd, mu)
+        # (A; mu I) has n singular values, each at least mu
+        stacked = np.linalg.svd(np.vstack([A, mu * np.eye(n)]), compute_uv=False)
+        assert lam_max == pytest.approx(stacked[0], rel=1e-12)
+        assert lam_min == pytest.approx(stacked[-1], rel=1e-12)
+        assert rotation_constant(ext) == lam_min
+        sigma = ext.svd.sigma
+        kept = sigma[sigma > linalg.RANK_TOLERANCE * sigma[0]]
+        tail = kept[-1] if kept.size == n else 0.0
+        closed_form = math.sqrt((sigma[0]**2 + mu**2) / (tail**2 + mu**2))
+        assert condition_number_mu(ext.svd, mu) == pytest.approx(closed_form, rel=1e-15)
+        assert condition_number_mu(ext.svd, mu) == lam_max / lam_min
+        # at mu = 0, C~ is the smallest sigma above the rank tolerance
+        assert rotation_constant(build_extended(A, 0.0, ext.svd)) == kept[-1]
+
+        def stop(_ext, _r, _n_bits, shots, _rng):
+            raise self.Shots(shots)
+
+        problem = RegularizedProblem(A, rng.standard_normal(m))
+        with mock.patch.object(search, "principal_singular_values", stop):
+            with pytest.raises(self.Shots) as asked:
+                gcv_pipeline(problem, ParameterGrid(mus=np.array([mu])), r, 6, 0.05,
+                             np.random.default_rng(0))
+        kappa = condition_number_mu(ext.svd, mu)
+        assert asked.value.args[0] == max(10 * r, math.ceil(10 * r * kappa**2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounding_noise_sigma_counts_as_zero(self, seed):
+        # low-rank 4x4 plants rank 2: sigma_4 is rounding noise that would
+        # dwarf mu = 1e-33 in sqrt(sigma_4^2 + mu^2), but beyond the numerical
+        # rank it counts as 0
+        ext = build_extended(generate_problem("low-rank", 4, 4, 0.01, seed).A, 1e-33)
+        assert rotation_constant(ext) == 1e-33
+
+
 class TestGcvPipeline:
     def test_single_mu_matches_lowrank_oracle(self):
         prob = generate_problem("geometric-spectrum", 2, 2, 0.05, seed=2)
@@ -365,6 +419,16 @@ class TestGcvPipeline:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(CapacityError, match=r"^2040608122 shots exceed"):
                 gcv_pipeline(prob, grid, 2, 15, 0.05, NoDraw())
+
+    def test_kappa_past_capacity_refused_before_squaring(self):
+        # low-rank 6x4 at mu_1 = 9e-161: kappa_mu ~ 1e160, whose square overflows
+        prob = generate_problem("low-rank", 6, 4, 0.01, seed=0)
+        grid = ParameterGrid.geometric(1e-160, 0.9, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(CapacityError, match=r"^kappa_mu = 1\.11127e\+160 asks for "
+                                                    r"over 2\^48 shots"):
+                gcv_pipeline(prob, grid, 2, 6, 0.05, np.random.default_rng(0))
 
 
 class TestStateLifetimes:
@@ -454,8 +518,8 @@ class TestRows:
     @pytest.mark.parametrize("kind,m,n", [("geometric-spectrum", 4, 4), ("low-rank", 6, 4)])
     def test_one_eigendecomposition_per_matrix(self, kind, m, n, monkeypatch):
         # one eigh per grid value's (A; mu I) and one for A's own extended
-        # matrix; GCV decomposes its sampling matrix too, and takes t from one
-        # eigvalsh
+        # matrix; GCV decomposes its sampling matrix too, and takes t from the
+        # SVD, as the solver does
         prob = generate_problem(kind, m, n, 0.01, seed=0)
         grid = ParameterGrid.geometric(1.0, 0.8, 4)
         calls = {"eigh": 0, "eigvalsh": 0}
@@ -470,7 +534,7 @@ class TestRows:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             gcv_pipeline(prob, grid, min(m, n) // 2, 10, 0.05, np.random.default_rng(0), 3)
-        assert calls == {"eigh": grid.p + 2, "eigvalsh": 1}
+        assert calls == {"eigh": grid.p + 2, "eigvalsh": 0}
 
     @pytest.mark.parametrize("criterion", ["lcurve-sum", "gcv"])
     def test_classical_rows_are_exact_norms(self, criterion):

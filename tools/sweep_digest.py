@@ -22,6 +22,11 @@ digest with its counts:
 ``--theta-out PATH`` also writes the thetas behind line 3 to PATH, as
 little-endian float64 in call order, so that two checkouts can be compared
 theta by theta where line 3 differs; the printed lines stay the same.
+``--reports-out PATH`` writes one JSON line per selection, in sweep order:
+its config key (method, problem, m, n, n_phase_bits, seed, epsilon) with
+``chosen_index``, ``queries_used``, the report's ``*_est`` columns and the
+SHA-256 of its report text, or with ``error`` holding the error line.  Two
+checkouts whose line 1 differs can then be compared selection by selection.
 
 The first two lines are the digests this tool printed before the theta line
 was added, and the first three those it printed before the fourth, so they
@@ -36,13 +41,14 @@ loads: with two OpenBLAS threads the last bits of theta change while both
 report digests stay equal.  The digests are not pinned anywhere: a different
 BLAS build can change the last bits of a report (see tests/test_golden.py).
 
-    PYTHONPATH=src python tools/sweep_digest.py [--theta-out PATH]
+    PYTHONPATH=src python tools/sweep_digest.py [--theta-out PATH] [--reports-out PATH]
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import itertools
+import json
 import os
 import struct
 import sys
@@ -59,6 +65,7 @@ CLASSICAL = ("classical-lcurve", "classical-gcv", "tikhonov", "tsvd")
 SIZES = ((3, 2), (4, 4), (6, 4))
 PHASE_BITS = (6, 8, 10)
 SEEDS = (0, 7)
+KEY = ("method", "problem", "m", "n", "n_phase_bits", "seed", "epsilon")
 
 
 def configs(methods, sizes=SIZES, phase_bits=PHASE_BITS, **settings):
@@ -69,18 +76,27 @@ def configs(methods, sizes=SIZES, phase_bits=PHASE_BITS, **settings):
                         seed=seed, p=8, rho=0.8, **settings)
 
 
-def sweep(selections) -> str:
-    """The digest line of every selection of the sweep."""
+def sweep(selections, records: list) -> str:
+    """The digest line of every selection of the sweep; appends one record per selection."""
     digest = hashlib.sha256()
     done = errors = 0
     for config in selections:
+        record = {key: getattr(config, key) for key in KEY}
         try:
-            text = "\n".join(run(config).to_lines()) + "\n"
+            report = run(config)
+            text = "\n".join(report.to_lines()) + "\n"
             done += 1
+            record.update(chosen_index=report.selection.get("chosen_index"),
+                          queries_used=report.queries_used,
+                          sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
+            for column in sorted({c for row in report.rows for c in row if c.endswith("_est")}):
+                record[column] = [row[column] for row in report.rows]
         except (ValueError, RuntimeError) as exc:
             text = f"error {type(exc).__name__}: {exc}\n"
             errors += 1
+            record["error"] = text.rstrip("\n")
         digest.update(text.encode("utf-8"))
+        records.append(record)
     return f"{digest.hexdigest()}  {done} completed, {errors} errors"
 
 
@@ -88,8 +104,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="Digests of a fixed sweep of CLI selections.")
     ap.add_argument("--theta-out", metavar="PATH",
                     help="also write line 3's thetas here, little-endian float64")
+    ap.add_argument("--reports-out", metavar="PATH",
+                    help="also write one JSON line per selection here")
     opts = ap.parse_args(argv)
-    thetas = bytearray()
+    thetas, records = bytearray(), []
     estimate_theta = hhl.estimate_theta
 
     def recording(theta, *args, **kwargs):
@@ -97,13 +115,17 @@ def main(argv=None) -> int:
         return estimate_theta(theta, *args, **kwargs)
 
     with mock.patch.object(hhl, "estimate_theta", recording):
-        print(sweep(configs(QUANTUM)))
-    print(sweep(configs(CLASSICAL)))
+        print(sweep(configs(QUANTUM), records))
+    print(sweep(configs(CLASSICAL), records))
     print(f"{hashlib.sha256(thetas).hexdigest()}  {len(thetas) // 8} theta")
     if opts.theta_out:
         with open(opts.theta_out, "wb") as fh:
             fh.write(thetas)
-    print(sweep(configs(("lcurve",), sizes=SIZES[:2], phase_bits=(8,), epsilon=5e-4)))
+    print(sweep(configs(("lcurve",), sizes=SIZES[:2], phase_bits=(8,), epsilon=5e-4),
+                records))
+    if opts.reports_out:
+        with open(opts.reports_out, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
     return 0
 
 
