@@ -9,8 +9,9 @@ The Grover operator rotates the plane spanned by the two branches by
 its register distribution, qpe_on_grover_distribution, is the closed-form
 Fejer kernel of theta: half its mass peaks at y = N theta / pi, half at
 N - N theta / pi.  Register values are folded through two's complement so
-both +-theta branches decode to the same cos(theta); fold is that rule, for
-this readout and for the singular-value sampling in search.  The circuit itself
+both +-theta branches decode to the same cos(theta); fold is that rule for
+this readout, and the singular-value sampling in search applies the same
+rule to its shot array in place.  The circuit itself
 (the dense Grover operator under gate-level phase estimation) is simulated
 in tests/reference.py, the reference for that closed form.
 

@@ -1,9 +1,9 @@
 """HHL-style states on the extended matrix and amplitude-estimated norms.
 
-The solver runs phase estimation with e^{-i t H} for the Hermitian dilation H
-of the stacked matrix (A; mu I), rotates an ancilla by the inverted eigenvalue,
-and uncomputes.  Eigenvalue signs are handled by reading the phase register in
-two's complement with |lambda| t < pi.
+The solver's circuit runs phase estimation with e^{-i t H} for the Hermitian
+dilation H of the stacked matrix (A; mu I), rotates an ancilla by the
+inverted eigenvalue, and uncomputes.  Eigenvalue signs are handled by reading
+the phase register in two's complement with |lambda| t < pi.
 
 The simulated evolution always snaps each eigenphase to its phase cell
 ("dyadic engineering"): every distinct eigenvalue owns one cell, phase
@@ -19,19 +19,23 @@ the state it is handed and refuses, by ValueError, a wrong flag count or k.
 
 The per-mu step is the chain solver -> A x -> residual: each stage takes the
 previous stage's state, and each estimator reads its state into an Estimate.
-The A x stage runs on A's own extended matrix (mu = 0); phase estimation reads
-the eigendecomposition each ExtendedMatrix holds.  C~ (rotation_constant),
-the evolution time t = pi / (2 lambda_max) (evolution_time) and the residual
-scale min(1, C~ / sigma_max) come from the classical SVD, through
-linalg.extended_spectrum's (lambda_max, lambda_min) of (A; mu I).
+The A x stage runs on A's own extended matrix (mu = 0).  C~
+(rotation_constant), the evolution time t = pi / (2 lambda_max)
+(evolution_time) and the residual scale min(1, C~ / sigma_max) come from the
+classical SVD, through linalg.extended_spectrum's (lambda_max, lambda_min)
+of (A; mu I).
 
-Snapped phase estimation is exact, so the solver hands on a state that lives
-on phase value 0, and the A x stage's circuit (phase estimation, a rotation
-by lambda / sigma_max, uncompute) is the spectral map V diag(a) V^dag on one
-flag branch and V diag(sqrt(1 - a^2)) V^dag on the other.  apply_A_state
-applies those maps to the phase-0 slice directly; its phase cells still
-decide a and still raise SpectrumResolutionError.  tests/reference.py keeps
-the circuit form as apply_A_state_qpe.
+Snapped phase estimation is exact, so no stage runs it.  A circuit of phase
+estimation with the eigendecomposition V each ExtendedMatrix holds, a
+rotation by a per phase cell and uncompute maps a state on phase value 0 to
+V diag(a) V^dag on one flag branch and V diag(sqrt(1 - a^2)) V^dag on the
+other, again on phase value 0.  The solver (a = C~ / lambda on b) and the
+A x stage (a = lambda / sigma_max) apply those maps to the phase-0 slice
+directly; their phase cells still decide a and still raise
+SpectrumResolutionError.  The residual stage only mixes the four flag rows
+of the A x state with b, so it too computes on the phase-0 slice alone.
+tests/reference.py keeps the circuit forms as hhl_solution_state_qpe,
+apply_A_state_qpe and residual_state_full.
 """
 from __future__ import annotations
 
@@ -47,12 +51,7 @@ from .amplitude import (
     good_branch_angle,
 )
 from .linalg import ExtendedMatrix, extended_spectrum
-from .statevector import (
-    StateVector,
-    _check_capacity,
-    qpe_forward,
-    qpe_inverse,
-)
+from .statevector import StateVector, _check_capacity
 
 _ZERO_EIG_TOL = 1e-12
 _OFF_PHASE_TOL = 1e-10  # the norm apply_A_state allows off phase value 0
@@ -161,47 +160,35 @@ def _phase_cells(eig: tuple[np.ndarray, np.ndarray], t: float, n_bits: int
     return (V, cells), lam_by_cell
 
 
-def _add_flag(state: StateVector, amps_by_cell: np.ndarray) -> StateVector:
-    """Insert a fresh flag qubit directly above the phase register.
-
-    The flag starts in |0> and is rotated by arcsin of the per-phase-cell
-    amplitude a(y): its |0> branch is a(y) psi and its |1> branch
-    sqrt(1 - a(y)^2) psi.  Cell 0 (and any cell with a = 0) sends the
-    component entirely to |1>, excluding it from inversion.
-    """
-    psi = state.amplitudes
-    a = amps_by_cell[:, np.newaxis]
-    b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
-    out = np.empty((psi.shape[0], 2, *psi.shape[1:]), dtype=complex)
-    np.multiply(a, psi, out=out[:, 0])
-    np.multiply(b, psi, out=out[:, 1])
-    return StateVector(out.reshape(-1, *psi.shape[1:]))
-
-
 def hhl_solution_state(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int) -> StateVector:
     """The solver state: good flag |0> branch carries C~ ||x_mu|| |x_mu>.
 
     Register order: [ancilla, phase (n_phase_bits), system (the dilation's
     k qubits)].  The x block occupies system coordinates m+n .. m+2n-1.
-    Forward phase estimation runs before the ancilla exists, with
-    t = evolution_time(ext) = pi / (2 sqrt(sigma_max^2 + mu^2)).
+    The circuit (phase estimation with e^{-i t H}, t = evolution_time(ext) =
+    pi / (2 lambda_max), the ancilla rotated by a = C~ / lambda, uncompute)
+    maps b on phase value 0 to V diag(a) V^dag b (ancilla |0>) and
+    V diag(sqrt(1 - a^2)) V^dag b (ancilla |1>) on phase value 0, with a read
+    from each eigenvector's phase cell (0 in cell 0).  Those maps are applied
+    directly.
     """
     c_tilde = rotation_constant(ext)
     t = evolution_time(ext)
     n, k = n_phase_bits, ext.dilation.shape[0].bit_length() - 1
     _check_capacity(n + k + 1)  # before _phase_cells allocates its 2^n arrays
-    eig, lam = _phase_cells(ext.eig, t, n_phase_bits)
+    (V, cells), lam = _phase_cells(ext.eig, t, n_phase_bits)
     lam_min = float(np.min(np.abs(lam[lam != 0]), initial=np.inf))
     if c_tilde > lam_min * (1 + 1e-9):
         raise ValueError(
             f"c_tilde {c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
         )
-    amps = np.zeros((1, 2**n, 2**k), dtype=complex)
-    amps[0, 0] = prepare_b_state(b, k).amplitudes  # phase register |0>
-    state = qpe_forward(StateVector(amps), eig)
     amps = np.divide(c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
-    state = _add_flag(state, np.clip(amps, -1.0, 1.0))
-    return qpe_inverse(state, eig)
+    a = np.clip(amps, -1.0, 1.0)[cells]
+    c = prepare_b_state(b, k).amplitudes @ V.conj()  # b's eigenbasis coordinates
+    out = np.zeros((2, 2**n, 2**k), dtype=complex)
+    out[0, 0] = (c * a) @ V.T
+    out[1, 0] = (c * np.sqrt(np.maximum(0.0, 1.0 - a**2))) @ V.T
+    return StateVector(out)
 
 
 def apply_A_state(solution: StateVector, ext_A: ExtendedMatrix) -> StateVector:
@@ -259,13 +246,13 @@ def residual_state(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> State
     a0, a1 = t / C, t
     col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
     col1 = np.array([a1, math.sqrt(1 - a1**2)]) / 2
-    rows = ax.amplitudes.reshape(4, -1)
-    out = np.empty((4, 2, 2, rows.shape[1]), dtype=complex)
-    np.multiply(rows[:, np.newaxis, :], col0[:, np.newaxis], out=out[:, 0])
-    out[:, 1] = out[:, 0]
+    rows = ax.amplitudes[:, 0]  # every row is zero off phase value 0
+    out = np.zeros((4, 2, 2, 2**n, 2**k), dtype=complex)
+    np.multiply(rows[:, np.newaxis, :], col0[:, np.newaxis], out=out[:, 0, :, 0])
+    out[:, 1, :, 0] = out[:, 0, :, 0]
     b_terms = np.outer(col1, prepare_b_state(b, k).amplitudes)
-    out[0, 0, :, : 2**k] -= b_terms
-    out[0, 1, :, : 2**k] += b_terms
+    out[0, 0, :, 0] -= b_terms
+    out[0, 1, :, 0] += b_terms
     return StateVector(out.reshape(16, 2**n, 2**k))
 
 

@@ -30,7 +30,6 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .amplitude import fold
 from .hhl import (
     ZERO_MATRIX,
     Estimate,
@@ -251,16 +250,23 @@ def principal_singular_values(ext: ExtendedMatrix, r: int, n_bits: int, shots: i
     probs = np.bincount(eig_cells, minlength=N) * scaled**2
     probs = probs / probs.sum()
     outcomes = rng.choice(N, size=shots, p=probs)
-    cells, first, counts = np.unique(fold(outcomes, n_bits), return_index=True,
-                                     return_counts=True)
-    skip = int(cells[0] == 0)  # cell 0 holds the zero eigenvalues
-    if cells.size - skip < r:
+    # fold in place: y reads as |y| in two's complement, min(y, N - y)
+    np.subtract(N, outcomes, out=outcomes, where=outcomes > N // 2)
+    counts = np.bincount(outcomes, minlength=N // 2 + 1)
+    counts[0] = 0  # cell 0 holds the zero eigenvalues
+    found = np.count_nonzero(counts)
+    if found < r:
         raise RuntimeError(
-            f"only {cells.size - skip} distinct singular-value clusters found after "
+            f"only {found} distinct singular-value clusters found after "
             f"{shots} shots; need {r}"
         )
-    # most counted first; ties in order of first appearance
-    top_cells = cells[skip:][np.lexsort((first[skip:], -counts[skip:]))[:r]]
+    # most counted first; ties at the r-th count in order of first appearance
+    cut = np.partition(counts, -r)[-r]
+    top_cells, tied = np.flatnonzero(counts > cut), np.flatnonzero(counts == cut)
+    if top_cells.size + tied.size > r:
+        cells, first = np.unique(outcomes[(counts == cut)[outcomes]], return_index=True)
+        tied = cells[np.argsort(first)]
+    top_cells = np.concatenate([top_cells, tied[: r - top_cells.size]])
     sigma_tilde = 2 * math.pi * top_cells / (N * t)
     return np.sort(np.sqrt(np.maximum(sigma_tilde**2 - ext.mu**2, 0.0)))[::-1]
 

@@ -1,9 +1,12 @@
 """Dense statevector simulator: states, gates and phase estimation.
 
-The pipelines run phase estimation through qpe_forward/qpe_inverse, which
-evaluate the controlled-power ladder in the eigenbasis of the evolution
-op = V diag(omega^cells) V^dag, omega = e^{2 pi i / 2^n}, with integer phase
-cells on the register's 2^n grid.
+qpe_forward/qpe_inverse evaluate the controlled-power ladder in the
+eigenbasis of the evolution op = V diag(omega^cells) V^dag,
+omega = e^{2 pi i / 2^n}, with integer phase cells on the register's 2^n
+grid.  No pipeline stage calls them: snapped phase estimation is exact, so
+the hhl stages apply its spectral maps on phase value 0 instead.  They stay
+here as the circuit form that the tests' references (tests/reference.py)
+and the benchmark tracer's targets (perfbench/tracer.py TARGETS) name.
 phase_estimation and _ladder_forward simulate the same circuit gate by gate
 with apply and controlled; the tests use them, together with the dense QFT
 matrix, Hamiltonian evolution and measurement in tests/reference.py, as the

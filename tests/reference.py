@@ -8,11 +8,16 @@ the full Grover circuit.  float_phase_qpe is the eigenbasis kernel with one
 complex exp per amplitude, the bit-for-bit reference for the library's table
 of roots of unity.  estimate_theta_table samples the amplitude-estimation
 readout from its full 2^n table, the draw-for-draw reference for the
-library's windowed inverse CDF.  apply_A_state_qpe is the A x stage as the
-circuit it simulates (phase estimation, rotation, uncompute), the reference
-for the library's spectral map.  top_magnitude_cells tallies phase-register
-shots one at a time.  solution_block reads the x block out of a solver state.
-Nothing under src/ imports this module.
+library's windowed inverse CDF.  hhl_solution_state_qpe and
+apply_A_state_qpe are the solver and A x stages as the circuits they
+simulate (phase estimation, rotation, uncompute), and residual_state_full is
+the residual stage on every phase value: the references for the library's
+phase-0 maps.  They call the QPE kernels through this module's own
+qpe_forward and qpe_inverse names, so a test that patches those two names
+here runs the whole reference chain under its own kernel.
+top_magnitude_cells tallies phase-register shots one at a time.
+solution_block reads the x block out of a solver state.  Nothing under src/
+imports this module.
 """
 from __future__ import annotations
 
@@ -21,9 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from qregparam import hhl
 from qregparam.amplitude import fold_register, qpe_on_grover_distribution
-from qregparam.hhl import _add_flag, _layout, _phase_cells
+from qregparam.hhl import (
+    _layout,
+    _phase_cells,
+    _residual_scale,
+    evolution_time,
+    prepare_b_state,
+    rotation_constant,
+)
 from qregparam.linalg import ExtendedMatrix
 from qregparam.statevector import (
     MAX_QUBITS,
@@ -38,6 +49,8 @@ from qregparam.statevector import (
     apply,
     controlled,
     phase_estimation,
+    qpe_forward,
+    qpe_inverse,
 )
 
 # common single-qubit gates (H stays with the simulator, whose ladder uses it)
@@ -193,12 +206,50 @@ def solution_block(state: StateVector, ext: ExtendedMatrix) -> np.ndarray:
     return state.amplitudes[0, 0, m + nn:m + 2 * nn]
 
 
+def _add_flag(state: StateVector, amps_by_cell: np.ndarray) -> StateVector:
+    """Insert a fresh flag qubit directly above the phase register.
+
+    The flag starts in |0> and is rotated by arcsin of the per-phase-cell
+    amplitude a(y): its |0> branch is a(y) psi and its |1> branch
+    sqrt(1 - a(y)^2) psi.  Cell 0 (and any cell with a = 0) sends the
+    component entirely to |1>, excluding it from inversion.
+    """
+    psi = state.amplitudes
+    a = amps_by_cell[:, np.newaxis]
+    b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
+    out = np.empty((psi.shape[0], 2, *psi.shape[1:]), dtype=complex)
+    np.multiply(a, psi, out=out[:, 0])
+    np.multiply(b, psi, out=out[:, 1])
+    return StateVector(out.reshape(-1, *psi.shape[1:]))
+
+
+def hhl_solution_state_qpe(ext: ExtendedMatrix, b: np.ndarray, n_phase_bits: int
+                           ) -> StateVector:
+    """hhl_solution_state as the circuit: phase estimation with e^{-i t H}, the
+    ancilla rotated by C~ / lambda, and the inverse phase estimation."""
+    c_tilde = rotation_constant(ext)
+    t = evolution_time(ext)
+    n, k = n_phase_bits, ext.dilation.shape[0].bit_length() - 1
+    _check_capacity(n + k + 1)  # before _phase_cells allocates its 2^n arrays
+    eig, lam = _phase_cells(ext.eig, t, n_phase_bits)
+    lam_min = float(np.min(np.abs(lam[lam != 0]), initial=np.inf))
+    if c_tilde > lam_min * (1 + 1e-9):
+        raise ValueError(
+            f"c_tilde {c_tilde:g} exceeds smallest nonzero eigenvalue {lam_min:g}"
+        )
+    amps = np.zeros((1, 2**n, 2**k), dtype=complex)
+    amps[0, 0] = prepare_b_state(b, k).amplitudes  # phase register |0>
+    state = qpe_forward(StateVector(amps), eig)
+    amps = np.divide(c_tilde, lam, out=np.zeros(lam.size), where=lam != 0)
+    state = _add_flag(state, np.clip(amps, -1.0, 1.0))
+    return qpe_inverse(state, eig)
+
+
 def apply_A_state_qpe(solution: StateVector, ext_A: ExtendedMatrix) -> StateVector:
     """apply_A_state as the circuit: phase estimation with e^{-i t H_A}, the
     multiply ancilla rotated by lambda / sigma_max, and the inverse phase estimation.
 
-    It looks qpe_forward and qpe_inverse up on qregparam.hhl at each call, so a
-    test that patches them there runs this stage under its own kernel too.
+    It calls this module's qpe_forward and qpe_inverse (see the module docstring).
     """
     if ext_A.mu != 0:
         raise ValueError(f"apply_A_state runs at mu = 0 (A's own matrix), got mu = {ext_A.mu:g}")
@@ -206,6 +257,31 @@ def apply_A_state_qpe(solution: StateVector, ext_A: ExtendedMatrix) -> StateVect
     _check_capacity(n + k + 2)
     smax = ext_A.svd.sigma_max
     eig2, lam2 = _phase_cells(ext_A.eig, math.pi / (2.0 * smax), n)
-    state = hhl.qpe_forward(solution, eig2)
+    state = qpe_forward(solution, eig2)
     state = _add_flag(state, np.clip(lam2 / smax, -1.0, 1.0))
-    return hhl.qpe_inverse(state, eig2)
+    return qpe_inverse(state, eig2)
+
+
+def residual_state_full(ax: StateVector, ext: ExtendedMatrix, b: np.ndarray) -> StateVector:
+    """residual_state on every phase value of ax, not only on phase value 0."""
+    n, k = _layout(ax, ext, 2, "residual_state")
+    _check_capacity(n + k + 4)
+    # Step 1: a selector qubit whose |0> carries ax and |1> carries -|b>
+    # (phase 0, ancillas 00).  Step 2: amplitude balancing rotates a fresh
+    # rotation qubit by R(a0) under selector 0 and R(a1) under selector 1;
+    # radicand corrected to 1 - t^2 C^-2 for unitarity.  Step 3: Hadamard on
+    # the selector.  Together: selector s, rotation qubit r carry
+    # (col0[r] ax - col1[r] b) for s = 0 and (col0[r] ax + col1[r] b) for s = 1.
+    # ax's two ancillas (its leading qubits) stay the two leading rows.
+    C, t = _residual_scale(ext)
+    a0, a1 = t / C, t
+    col0 = np.array([a0, math.sqrt(1 - a0**2)]) / 2
+    col1 = np.array([a1, math.sqrt(1 - a1**2)]) / 2
+    rows = ax.amplitudes.reshape(4, -1)
+    out = np.empty((4, 2, 2, rows.shape[1]), dtype=complex)
+    np.multiply(rows[:, np.newaxis, :], col0[:, np.newaxis], out=out[:, 0])
+    out[:, 1] = out[:, 0]
+    b_terms = np.outer(col1, prepare_b_state(b, k).amplitudes)
+    out[0, 0, :, : 2**k] -= b_terms
+    out[0, 1, :, : 2**k] += b_terms
+    return StateVector(out.reshape(16, 2**n, 2**k))

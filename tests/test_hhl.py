@@ -27,8 +27,14 @@ from qregparam import (
 from qregparam import hhl
 from qregparam.statevector import StateVector
 
+import reference
 from conftest import gate_level_qpe, random_problem
-from reference import apply_A_state_qpe, solution_block
+from reference import (
+    apply_A_state_qpe,
+    hhl_solution_state_qpe,
+    residual_state_full,
+    solution_block,
+)
 
 
 def flag_zero_mass(state, flags):
@@ -187,8 +193,8 @@ class TestPhaseCells:
 
 
 class TestGateLevelReference:
-    """The states built with the eigenbasis QPE and the A x stage's spectral map
-    equal the gate-level circuit's, with the A x stage run as its circuit."""
+    """The library's states equal the gate-level circuit's: every stage of the
+    reference chain runs as its circuit, with the gate-by-gate QPE ladder."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
@@ -199,29 +205,66 @@ class TestGateLevelReference:
         A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
         ext = build_extended(A, float(rng.uniform(0.2, 1.5)))
 
-        def states(ax_stage):
-            sol = hhl_solution_state(ext, b, n_bits)
+        def states(solver, ax_stage, residual):
+            sol = solver(ext, b, n_bits)
             ax = ax_stage(sol, build_extended(ext.A, 0.0))
-            return sol, ax, residual_state(ax, ext, b)
+            return sol, ax, residual(ax, ext, b)
 
-        gate_level = (
-            mock.patch.object(hhl, "qpe_forward",
-                              lambda *args: gate_level_qpe(*args, inverse=False)),
-            mock.patch.object(hhl, "qpe_inverse",
-                              lambda *args: gate_level_qpe(*args, inverse=True)),
-        )
+        kernel_calls = []
+
+        def kernel(inverse):
+            def run(*args):
+                kernel_calls.append(inverse)
+                return gate_level_qpe(*args, inverse=inverse)
+            return run
+
+        gate_level = mock.patch.multiple(reference, qpe_forward=kernel(False),
+                                         qpe_inverse=kernel(True))
+        circuits = (hhl_solution_state_qpe, apply_A_state_qpe, residual_state_full)
         try:
-            got = states(apply_A_state)
+            got = states(hhl_solution_state, apply_A_state, residual_state)
         except (SpectrumResolutionError, ValueError) as exc:
-            with gate_level[0], gate_level[1], pytest.raises(type(exc)):
-                states(apply_A_state_qpe)
+            with gate_level, pytest.raises(type(exc)):
+                states(*circuits)
             return
-        with gate_level[0], gate_level[1]:
-            ref = states(apply_A_state_qpe)
+        with gate_level:
+            ref = states(*circuits)
+        # the solver and the A x stage each ran forward and inverse QPE gate by gate
+        assert kernel_calls == [False, True, False, True]
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.amplitudes - r.amplitudes)) <= 1e-11
         # the later stages leave the solver state they were handed as built
         assert np.array_equal(hhl_solution_state(ext, b, n_bits).amplitudes, got[0].amplitudes)
+
+
+class TestStageMapsMatchCircuits:
+    """Each stage's phase-0 map equals its circuit form on the same input state."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+           rank_deficient=st.booleans(), real=st.booleans(), n_bits=st.integers(1, 8),
+           zero_mu=st.booleans())
+    def test_map_equals_circuit(self, seed, m, n, rank_deficient, real, n_bits, zero_mu):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, m, n, rank_deficient=rank_deficient and min(m, n) > 1)
+        A, b = (prob.A.real, prob.b.real) if real else (prob.A, prob.b)
+        ext = build_extended(A, 0.0 if zero_mu else float(rng.uniform(0.05, 2.0)))
+        ext_A = build_extended(A, 0.0)
+        stages = ((hhl_solution_state, hhl_solution_state_qpe, (ext, b, n_bits)),
+                  (apply_A_state, apply_A_state_qpe, (ext_A,)),
+                  (residual_state, residual_state_full, (ext, b)))
+        state = ()
+        for spectral_map, circuit, args in stages:
+            try:
+                ref = circuit(*state, *args)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    spectral_map(*state, *args)
+                return
+            got = spectral_map(*state, *args)
+            assert got.amplitudes.shape == ref.amplitudes.shape
+            assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-12
+            state = (got,)
 
 
 class TestCapacityBeforeAllocation:
